@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .landau import LevelIndex, PhysicalParams, energy
+from .landau import LevelIndex, PhysicalParams, _params_arrays
 from .numerics import gauss_hermite, hermite_poly_table
 
 __all__ = [
@@ -76,12 +76,7 @@ class CatExpansion:
         self.c_r2_plus = np.asarray(c_r2p, dtype=float)
         self.c_r2_minus = np.asarray(c_r2m, dtype=float)
         self.tail_eps = float(tail_eps)
-        p = spec.params
-        n = self.levels.astype(float)
-        self.energies = np.sqrt(p.M * p.M + p.kz * p.kz + 2.0 * n * p.eB)
-        self.A = p.kz / (self.energies + p.M)
-        self.B = np.sqrt(2.0 * n * p.eB) / (self.energies + p.M)
-        self.eta = (self.energies + p.M) / (2.0 * self.energies)
+        self.energies, self.A, self.B, self.eta = _params_arrays(self.levels, spec.params)
 
     @property
     def terms(self) -> list[tuple[LevelIndex, float]]:
@@ -188,12 +183,7 @@ def expand(spec: CatSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> CatExpansion:
         raise ValueError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
     ms, w = _parity_weights(spec.symmetry, spec.a, tail_eps)
     levels = ms + 1
-    p = spec.params
-    n = levels.astype(float)
-    E = np.sqrt(p.M * p.M + p.kz * p.kz + 2.0 * n * p.eB)
-    A = p.kz / (E + p.M)
-    B = np.sqrt(2.0 * n * p.eB) / (E + p.M)
-    eta = (E + p.M) / (2.0 * E)
+    _, A, B, eta = _params_arrays(levels, spec.params)
     root = np.sqrt(eta * w)
     c1, c2, c3 = root, root * B, -root * A
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
@@ -224,20 +214,14 @@ def profile_norm(spec: CatSpec) -> float:
     return math.exp(-x) * h
 
 
-def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
-    """Ground-truth expansion by quadrature of the overlap integrals.
+def _oracle_overlaps(spec: CatSpec, n_max: int):
+    """Unnormalized overlaps of the t=0 state with every level n <= n_max.
 
-    Evaluates c = integral phi^dag(s,0) u(s) ds/sqrt(eB) for every level
-    n <= n_max and all four (r, nu) labels, then renormalizes.  Each
-    Gaussian hump is integrated with its own shifted Gauss-Hermite rule
-    (complete the square at s = +-a/2), which is polynomial-exact and
-    keeps every intermediate finite up to a ~ 20 and n ~ few hundred.
-    This is the arbiter for index and sign conventions; it shares nothing
-    with `expand` beyond the spinor tables themselves.
+    Returns (levels, c1, c2, c3) on the (r=1,+), (r=2,+), (r=2,-) labels.
+    Each Gaussian hump is integrated with its own shifted Gauss-Hermite rule
+    (complete the square at s = +-a/2), which is polynomial-exact and keeps
+    every intermediate finite up to a ~ 20 and n ~ few hundred.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    p = spec.params
     a = spec.a
     sgn = 1.0 if spec.symmetry == "S" else -1.0
     k = n_max // 2 + 24
@@ -256,18 +240,25 @@ def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
     overlap_first = amp * ((P_plus @ wq) + sgn * (P_minus @ wq))  # index m = 0..n_max
 
     levels = np.arange(1, n_max + 1)
-    n = levels.astype(float)
-    E = np.sqrt(p.M * p.M + p.kz * p.kz + 2.0 * n * p.eB)
-    A = p.kz / (E + p.M)
-    B = np.sqrt(2.0 * n * p.eB) / (E + p.M)
-    eta = (E + p.M) / (2.0 * E)
+    _, A, B, eta = _params_arrays(levels, spec.params)
     se = np.sqrt(eta)
     # only the first spinor component meets the initial state; its entry is
     # F_{n-1} with coefficient sqrt(eta)*{1, 0, B, -A} per (r, nu) label
     I = overlap_first[levels - 1]
-    c1 = se * I
-    c2 = se * B * I
-    c3 = -se * A * I
+    return levels, se * I, se * B * I, -se * A * I
+
+
+def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
+    """Ground-truth expansion by quadrature of the overlap integrals.
+
+    Evaluates c = integral phi^dag(s,0) u(s) ds/sqrt(eB) for every level
+    n <= n_max and all four (r, nu) labels, then renormalizes.  This is the
+    arbiter for index and sign conventions; it shares nothing with `expand`
+    beyond the spinor parameters themselves.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    levels, c1, c2, c3 = _oracle_overlaps(spec, n_max)
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
     if norm == 0.0:
         raise ValueError("null state: no overlap with any level")
@@ -282,30 +273,13 @@ def oracle_raw_overlaps(spec: CatSpec, n_max: int) -> dict[LevelIndex, float]:
     Exposes the labels the expansion drops (wrong parity, (r=1,nu=-)) so the
     selection rule can be checked directly.
     """
-    p = spec.params
-    a = spec.a
-    sgn = 1.0 if spec.symmetry == "S" else -1.0
-    k = n_max // 2 + 24
-    if math.sqrt(2.0 * k + 1.0) + 0.5 * a > 37.5:
-        raise ValueError(f"separation a={a} with n_max={n_max} exceeds the "
-                         "finite-precision envelope of the overlap oracle")
-    rule = gauss_hermite(k)
-    x, wq = rule.nodes, rule.weights
-    P_plus = hermite_poly_table(n_max, x + 0.5 * a)
-    P_minus = hermite_poly_table(n_max, x - 0.5 * a)
-    amp = 0.5 * math.pi ** -0.25 * math.exp(-0.25 * a * a)
-    overlap_first = amp * ((P_plus @ wq) + sgn * (P_minus @ wq))
+    levels, c1, c2, c3 = _oracle_overlaps(spec, n_max)
     out: dict[LevelIndex, float] = {}
-    for n in range(1, n_max + 1):
-        E = energy(n, p)
-        A = p.kz / (E + p.M)
-        B = math.sqrt(2.0 * n * p.eB) / (E + p.M)
-        se = math.sqrt((E + p.M) / (2.0 * E))
-        I = overlap_first[n - 1]
-        out[LevelIndex(n, 1, "+")] = se * I
+    for i, n in enumerate(levels.tolist()):
+        out[LevelIndex(n, 1, "+")] = c1[i]
         out[LevelIndex(n, 1, "-")] = 0.0  # first component of u^-_{n,1} vanishes
-        out[LevelIndex(n, 2, "+")] = se * B * I
-        out[LevelIndex(n, 2, "-")] = -se * A * I
+        out[LevelIndex(n, 2, "+")] = c2[i]
+        out[LevelIndex(n, 2, "-")] = c3[i]
     return out
 
 

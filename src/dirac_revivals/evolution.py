@@ -90,8 +90,13 @@ def kz_for_ab_ratio(ratio: float, n0: float, eB: float = 1.0) -> float:
     return ratio * math.sqrt(2.0 * n0 * eB)
 
 
-def _branch_weights(exp: CatExpansion) -> tuple[np.ndarray, np.ndarray]:
-    return exp.weight_positive, exp.weight_negative
+def _uniform_grid(t0: float, t1: float, samples: int) -> tuple[np.ndarray, float]:
+    """Times and spacing of `samples` uniform samples over [t0, t1]."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if not t1 > t0:
+        raise ValueError("t1 must exceed t0")
+    return np.linspace(t0, t1, samples), (t1 - t0) / (samples - 1)
 
 
 def survival_amplitude(exp: CatExpansion, t):
@@ -101,7 +106,7 @@ def survival_amplitude(exp: CatExpansion, t):
     Summation runs in fixed ascending-level order (numpy pairwise), so the
     result is bit-stable regardless of how callers chunk the time axis.
     """
-    w_pos, w_neg = _branch_weights(exp)
+    w_pos, w_neg = exp.weight_positive, exp.weight_negative
     t_arr = np.asarray(t, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(t_arr, exp.energies))
     # explicit pairwise sum along the fixed ascending-level axis: bit-stable
@@ -112,24 +117,14 @@ def survival_amplitude(exp: CatExpansion, t):
 
 def survival_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> TimeSeries:
     """|C(t)| on a uniform grid over [t0, t1]."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    ts = np.linspace(t0, t1, samples)
-    vals = np.abs(survival_amplitude(exp, ts))
-    return TimeSeries(t0=t0, dt=(t1 - t0) / (samples - 1), values=vals)
+    ts, dt = _uniform_grid(t0, t1, samples)
+    return TimeSeries(t0=t0, dt=dt, values=np.abs(survival_amplitude(exp, ts)))
 
 
 def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> TimeSeries:
     """Complex C(t) on a uniform grid (same sampling contract as above)."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    ts = np.linspace(t0, t1, samples)
-    vals = survival_amplitude(exp, ts)
-    return TimeSeries(t0=t0, dt=(t1 - t0) / (samples - 1), values=vals)
+    ts, dt = _uniform_grid(t0, t1, samples)
+    return TimeSeries(t0=t0, dt=dt, values=survival_amplitude(exp, ts))
 
 
 def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:

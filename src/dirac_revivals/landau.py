@@ -100,11 +100,8 @@ def one_particle_params(n, p: PhysicalParams) -> OneParticleParams:
     n = float(n)
     if n < 1.0:
         raise ValueError(f"one-particle parameters need n >= 1, got {n}")
-    E = energy(n, p)
-    A = p.kz / (E + p.M)
-    B = math.sqrt(2.0 * n * p.eB) / (E + p.M)
-    eta = (E + p.M) / (2.0 * E)
-    return OneParticleParams(A=A, B=B, eta=eta)
+    _, A, B, eta = _params_arrays(n, p)
+    return OneParticleParams(A=float(A), B=float(B), eta=float(eta))
 
 
 def energy_derivatives(n0: float, p: PhysicalParams) -> tuple[float, float, float]:
@@ -124,12 +121,31 @@ def branch_sign(r: int) -> int:
 
 
 def _params_arrays(n, p: PhysicalParams):
-    n = np.asarray(n, dtype=float)
-    E = np.sqrt(p.M * p.M + p.kz * p.kz + 2.0 * n * p.eB)
+    """(E, A, B, eta) of level(s) n: the one source of these expressions."""
+    E = energy(n, p)
     A = p.kz / (E + p.M)
-    B = np.sqrt(2.0 * n * p.eB) / (E + p.M)
+    B = np.sqrt(2.0 * np.asarray(n, dtype=float) * p.eB) / (E + p.M)
     eta = (E + p.M) / (2.0 * E)
     return E, A, B, eta
+
+
+def _component_table(labels, n, p: PhysicalParams):
+    """Spinor component tables of the (r, nu) labels, vectorised over levels n.
+
+    Returns (coef, offset): coef has shape n.shape + (len(labels), 4), and
+    component j of label k sits on F_{n-1+offset[k, j]}.
+    """
+    _, A, B, eta = _params_arrays(n, p)
+    se = np.sqrt(eta)
+    zero = 0.0 * se
+    rows = {
+        (1, "+"): ((se, zero, se * A, -se * B), (0, 0, 0, 1)),
+        (1, "-"): ((zero, se, -se * B, -se * A), (0, 1, 0, 1)),
+        (2, "+"): ((se * B, se * A, zero, se), (0, 1, 0, 1)),
+        (2, "-"): ((-se * A, se * B, se, zero), (0, 1, 0, 1)),
+    }
+    coef = np.stack([np.stack(rows[lab][0], axis=-1) for lab in labels], axis=-2)
+    return coef, np.array([rows[lab][1] for lab in labels])
 
 
 def spinor_component_table(level: LevelIndex, p: PhysicalParams):
@@ -139,23 +155,8 @@ def spinor_component_table(level: LevelIndex, p: PhysicalParams):
     The table transcribes the eigenspinors; every nonzero entry sits on
     F_{n-1} or F_n, which is what drives the n = m selection rules.
     """
-    n = level.n
-    _, A, B, eta = _params_arrays(n, p)
-    se = math.sqrt(eta)
-    lo, hi = n - 1, n
-    if level.r == 1 and level.nu == "+":
-        coef = (se, 0.0, se * A, -se * B)
-        order = (lo, lo, lo, hi)
-    elif level.r == 1 and level.nu == "-":
-        coef = (0.0, se, -se * B, -se * A)
-        order = (lo, hi, lo, hi)
-    elif level.r == 2 and level.nu == "+":
-        coef = (se * B, se * A, 0.0, se)
-        order = (lo, hi, lo, hi)
-    else:  # r == 2, nu == '-'
-        coef = (-se * A, se * B, se, 0.0)
-        order = (lo, hi, lo, hi)
-    return np.array(coef), np.array(order, dtype=int)
+    coef, offset = _component_table([(level.r, level.nu)], level.n, p)
+    return coef[0], level.n - 1 + offset[0]
 
 
 def spinor(level: LevelIndex, s: float, p: PhysicalParams) -> np.ndarray:

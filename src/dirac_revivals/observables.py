@@ -1,11 +1,13 @@
 """Spin-parity observables of evolving cat states.
 
 Expectation values of the 16 Hermitian generators of the Dirac algebra,
-computed from coefficient bilinears times quadrature matrix elements (the
-authoritative route), plus the closed-form series they must reproduce.
-Parity selection makes every constant generator block out levels with
-n != m here, so the engine sums one 3x3 bilinear per excited level over
-the (r=1,+), (r=2,+), (r=2,-) labels.
+computed from coefficient bilinears times exact matrix elements, plus the
+closed-form series they must reproduce.  Parity selection makes every
+constant generator block out levels with n != m here, so the engine sums
+one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
+labels; the F_k are orthonormal, so within a level two spinor components
+meet only on equal Hermite orders.  `matrix_element` evaluates the same
+bilinears by Gauss-Hermite quadrature and serves as the independent oracle.
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -20,8 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import LevelIndex, PhysicalParams, spinor_component_table
-from .evolution import TimeSeries
+from .landau import LevelIndex, PhysicalParams, _component_table, spinor_component_table
+from .evolution import TimeSeries, _uniform_grid
 from .numerics import gauss_hermite, hermite_poly_table
 
 __all__ = [
@@ -138,34 +140,16 @@ def matrix_element(g: GeneratorId, lv1: LevelIndex, lv2: LevelIndex, p: Physical
 _LABELS = ((1, "+"), (2, "+"), (2, "-"))
 
 
-def _level_tables(exp: CatExpansion, g: GeneratorId) -> list[np.ndarray]:
-    """Per-level 3x3 matrix-element tables over the populated labels.
+def _level_tables(exp: CatExpansion, g: GeneratorId) -> np.ndarray:
+    """Per-level 3x3 matrix-element tables over the populated labels, shape (L, 3, 3).
 
-    Built by quadrature once per (expansion, generator) and memoized on the
-    expansion (the tables are immutable, so sharing across threads is safe);
-    cross-level elements vanish by the parity selection rule and are not
-    carried.
+    The F_k are orthonormal, so the overlap of two components is 1 when
+    their Hermite orders agree and 0 otherwise; cross-level elements vanish
+    by the parity selection rule and are not carried.
     """
-    cache = exp.__dict__.setdefault("_generator_tables", {})
-    if g in cache:
-        return cache[g]
-    mat = _MATRICES[g]
-    p = exp.spec.params
-    n_max = exp.n_max
-    rule = gauss_hermite(n_max + 16)
-    P = hermite_poly_table(n_max, rule.nodes)
-    overlaps = (P * rule.weights) @ P.T
-    tables = []
-    for n in exp.levels:
-        n = int(n)
-        comps = [spinor_component_table(LevelIndex(n, r, nu), p) for r, nu in _LABELS]
-        tbl = np.empty((3, 3), dtype=complex)
-        for i, (ci, oi) in enumerate(comps):
-            for j, (cj, oj) in enumerate(comps):
-                tbl[i, j] = _element_from_tables(mat, ci, oi, cj, oj, overlaps)
-        tables.append(tbl)
-    cache[g] = tables
-    return tables
+    coef, offset = _component_table(_LABELS, exp.levels, exp.spec.params)
+    same_order = offset[:, None, :, None] == offset[None, :, None, :]
+    return np.einsum("lai,ij,lbj,abij->lab", coef, _MATRICES[g], coef, same_order)
 
 
 def _series_coefficients(exp: CatExpansion, g: GeneratorId):
@@ -174,21 +158,13 @@ def _series_coefficients(exp: CatExpansion, g: GeneratorId):
     The r=1 coefficient evolves with e^{-iEt}, both r=2 ones with e^{+iEt},
     so only the relative phase 2 E_n t survives in the bilinears.
     """
-    tables = _level_tables(exp, g)
-    L = len(exp.levels)
-    stat = np.empty(L)
-    cosc = np.empty(L)
-    sinc = np.empty(L)
-    for i in range(L):
-        tbl = tables[i]
-        a1 = float(exp.c_r1_plus[i])
-        a2 = float(exp.c_r2_plus[i])
-        a3 = float(exp.c_r2_minus[i])
-        stat[i] = (a1 * a1 * tbl[0, 0].real + a2 * a2 * tbl[1, 1].real
-                   + a3 * a3 * tbl[2, 2].real + 2.0 * a2 * a3 * tbl[1, 2].real)
-        # cross-branch bilinears a1* a2 e^{2iEt} M12 + c.c. (and 1<->3)
-        cosc[i] = 2.0 * (a1 * a2 * tbl[0, 1].real + a1 * a3 * tbl[0, 2].real)
-        sinc[i] = -2.0 * (a1 * a2 * tbl[0, 1].imag + a1 * a3 * tbl[0, 2].imag)
+    tbl = _level_tables(exp, g)
+    a1, a2, a3 = exp.c_r1_plus, exp.c_r2_plus, exp.c_r2_minus
+    stat = (a1 * a1 * tbl[:, 0, 0].real + a2 * a2 * tbl[:, 1, 1].real
+            + a3 * a3 * tbl[:, 2, 2].real + 2.0 * a2 * a3 * tbl[:, 1, 2].real)
+    # cross-branch bilinears a1* a2 e^{2iEt} M12 + c.c. (and 1<->3)
+    cosc = 2.0 * (a1 * a2 * tbl[:, 0, 1].real + a1 * a3 * tbl[:, 0, 2].real)
+    sinc = -2.0 * (a1 * a2 * tbl[:, 0, 1].imag + a1 * a3 * tbl[:, 0, 2].imag)
     return stat, cosc, sinc
 
 
@@ -204,14 +180,9 @@ def expectation_values(exp: CatExpansion, g: GeneratorId, t) -> np.ndarray:
 def expectation_series(exp: CatExpansion, g: GeneratorId, t0: float, t1: float,
                        samples: int) -> ObservableSeries:
     """Uniformly sampled <Gamma>(t) as an ObservableSeries."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    ts = np.linspace(t0, t1, samples)
-    vals = expectation_values(exp, g, ts)
+    ts, dt = _uniform_grid(t0, t1, samples)
     return ObservableSeries(generator=g,
-                            series=TimeSeries(t0=t0, dt=(t1 - t0) / (samples - 1), values=vals))
+                            series=TimeSeries(t0=t0, dt=dt, values=expectation_values(exp, g, ts)))
 
 
 # ----------------------------------------------------------------------
@@ -277,15 +248,23 @@ def _five_observables(exp: CatExpansion, t_arr: np.ndarray):
     ))
 
 
+def _concurrence_sq_formula(g0, sz):
+    return 0.5 * (1.0 + g0) * (1.0 - sz)
+
+
+def _mutual_information_formula(g0, sz, g5gz, igz, az):
+    return 2.0 - 0.5 * ((1.0 + g0) ** 2 + (1.0 + g5gz) ** 2 + (sz - 1.0) ** 2
+                        - igz ** 2 - 4.0 * az ** 2)
+
+
 def concurrence_sq(exp: CatExpansion, t):
     """Squared spin-parity concurrence (1 + <gamma0>)(1 - <Sigma_z>)/2.
 
     Zero at t = 0 (spin-parity product state) and bounded by [0, 1].
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    g0 = expectation_values(exp, GeneratorId.GAMMA0, t_arr)
-    sz = expectation_values(exp, GeneratorId.GAMMA5_ALPHA_Z, t_arr)
-    vals = 0.5 * (1.0 + g0) * (1.0 - sz)
+    vals = _concurrence_sq_formula(expectation_values(exp, GeneratorId.GAMMA0, t_arr),
+                                   expectation_values(exp, GeneratorId.GAMMA5_ALPHA_Z, t_arr))
     return vals if np.ndim(t) else float(vals[0])
 
 
@@ -298,23 +277,16 @@ def mutual_information(exp: CatExpansion, t):
     product state.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    g0, sz, g5gz, igz, az = _five_observables(exp, t_arr)
-    vals = 2.0 - 0.5 * ((1.0 + g0) ** 2 + (1.0 + g5gz) ** 2 + (sz - 1.0) ** 2
-                        - igz ** 2 - 4.0 * az ** 2)
+    vals = _mutual_information_formula(*_five_observables(exp, t_arr))
     return vals if np.ndim(t) else float(vals[0])
 
 
 def correlation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> dict[str, TimeSeries]:
     """Concurrence^2 and mutual information on one shared grid."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    ts = np.linspace(t0, t1, samples)
-    dt = (t1 - t0) / (samples - 1)
+    ts, dt = _uniform_grid(t0, t1, samples)
     g0, sz, g5gz, igz, az = _five_observables(exp, ts)
-    conc2 = 0.5 * (1.0 + g0) * (1.0 - sz)
-    mi = 2.0 - 0.5 * ((1.0 + g0) ** 2 + (1.0 + g5gz) ** 2 + (sz - 1.0) ** 2
-                      - igz ** 2 - 4.0 * az ** 2)
     return {
-        "concurrence_sq": TimeSeries(t0=t0, dt=dt, values=conc2),
-        "mutual_information": TimeSeries(t0=t0, dt=dt, values=mi),
+        "concurrence_sq": TimeSeries(t0=t0, dt=dt, values=_concurrence_sq_formula(g0, sz)),
+        "mutual_information": TimeSeries(
+            t0=t0, dt=dt, values=_mutual_information_formula(g0, sz, g5gz, igz, az)),
     }

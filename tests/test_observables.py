@@ -7,10 +7,11 @@ import pytest
 from scipy.signal import hilbert
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
-from dirac_revivals.evolution import TimeSeries, kz_for_ab_ratio, survival_amplitude, time_scales
+from dirac_revivals.evolution import (TimeSeries, autocorrelation_series, kz_for_ab_ratio,
+                                      survival_amplitude, survival_series, time_scales)
 from dirac_revivals.landau import LevelIndex, PhysicalParams, energy, one_particle_params
 from dirac_revivals.numerics import find_peaks
-from dirac_revivals.observables import (GeneratorId, closed_form_series,
+from dirac_revivals.observables import (_LABELS, GeneratorId, _level_tables, closed_form_series,
                                         concurrence_sq, correlation_series,
                                         expectation_series, expectation_values,
                                         generator_matrix, matrix_element,
@@ -84,6 +85,19 @@ class TestMatrixElements:
                 el = matrix_element(g, LevelIndex(n, 1, "+"), LevelIndex(m, 2, "-"), p)
                 assert abs(el) < 1e-10
 
+    @pytest.mark.parametrize("symmetry", ["S", "A"])
+    def test_engine_tables_match_quadrature(self, symmetry):
+        # the engine reads its per-level bilinears off orthonormality; the
+        # quadrature route must give the same 3x3 table for every generator
+        p = PhysicalParams(M=1.0, kz=0.7, eB=1.0)
+        exp = expand(CatSpec(symmetry, 5.0, p))
+        for g in ALL_GENERATORS:
+            for tbl, n in zip(_level_tables(exp, g), exp.levels[:6]):
+                for i, la in enumerate(_LABELS):
+                    for j, lb in enumerate(_LABELS):
+                        el = matrix_element(g, LevelIndex(int(n), *la), LevelIndex(int(n), *lb), p)
+                        assert abs(tbl[i, j] - el) < 1e-12
+
     def test_alpha_x_adjacent_level_structure(self):
         # alpha_x does connect adjacent (parity-breaking) levels; the cat
         # states never populate those pairs
@@ -120,9 +134,11 @@ class TestExpectationSeries:
         assert np.abs(direct - closed).max() < 1e-8
         assert direct.max() > 1e-3  # nonzero, positive lobes
 
-    def test_antisymmetric_state_closed_forms(self):
+    @pytest.mark.parametrize("symmetry, a", [("A", 4.0), ("S", 30.0), ("A", 30.0),
+                                             ("S", 40.0), ("A", 40.0)])
+    def test_closed_forms_by_state(self, symmetry, a):
         p = PhysicalParams(M=1.0, kz=0.8, eB=1.0)
-        exp = expand(CatSpec("A", 4.0, p))
+        exp = expand(CatSpec(symmetry, a, p))
         ts = np.linspace(0.0, 60.0, 200)
         for g in (GeneratorId.GAMMA0, GeneratorId.GAMMA5_ALPHA_Z, GeneratorId.ALPHA_Z):
             assert np.abs(expectation_values(exp, g, ts)
@@ -249,3 +265,22 @@ def test_tensor_component_revivals(fig7):
     for target in (0.125, 0.25, 0.375, 0.5):
         dist = min(abs(p[0] / sc.T2 - target) for p in peaks)
         assert dist <= 0.02, f"revival near {target} missing (nearest {dist:.3f} away)"
+
+
+GRID_FUNCTIONS = {
+    "survival_series": survival_series,
+    "autocorrelation_series": autocorrelation_series,
+    "expectation_series": lambda exp, t0, t1, n: expectation_series(exp, GeneratorId.GAMMA0, t0, t1, n),
+    "correlation_series": correlation_series,
+}
+
+
+@pytest.mark.parametrize("name", GRID_FUNCTIONS)
+@pytest.mark.parametrize("t0, t1, samples, message", [
+    (1.0, 0.5, 11, "t1 must exceed t0"),
+    (1.0, 1.0, 11, "t1 must exceed t0"),
+    (0.0, 1.0, 1, "need at least 2 samples"),
+])
+def test_uniform_grid_validation(fig7, name, t0, t1, samples, message):
+    with pytest.raises(ValueError, match=message):
+        GRID_FUNCTIONS[name](fig7[0], t0, t1, samples)
