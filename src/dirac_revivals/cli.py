@@ -284,7 +284,10 @@ def cmd_density(cfg: dict) -> int:
         smin = -(spec.a + 6.0)
     if smax is None:
         smax = spec.a + 6.0
-    ns = cfg.get("ns") or 801
+    # sample the band limit sqrt(2*n_max + 1) of the truncated expansion at
+    # Nyquist, so the cat's interference fringes do not alias
+    band = math.sqrt(2 * exp.n_max + 1)
+    ns = cfg.get("ns") or max(801, math.ceil((smax - smin) * band / math.pi) + 1)
     tmin = cfg.get("tmin", 0.0) or 0.0
     tmax = cfg.get("tmax")
     if tmax is None:

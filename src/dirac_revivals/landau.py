@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HermiteScale, gauss_hermite, hermite_fn, hermite_poly_table
+from .numerics import HermiteScale, gauss_hermite, hermite_poly_table, hermite_table
 
 __all__ = [
     "PhysicalParams",
@@ -26,7 +26,6 @@ __all__ = [
     "energy_derivatives",
     "spinor",
     "spinor_component_table",
-    "branch_sign",
     "product_rule",
 ]
 
@@ -115,11 +114,6 @@ def energy_derivatives(n0: float, p: PhysicalParams) -> tuple[float, float, floa
     return d1, d2, d3
 
 
-def branch_sign(r: int) -> int:
-    """Energy sign of branch r: +1 for r=1, -1 for r=2."""
-    return +1 if r == 1 else -1
-
-
 def _params_arrays(n, p: PhysicalParams):
     """(E, A, B, eta) of level(s) n: the one source of these expressions."""
     E = energy(n, p)
@@ -162,9 +156,7 @@ def spinor_component_table(level: LevelIndex, p: PhysicalParams):
 def spinor(level: LevelIndex, s: float, p: PhysicalParams) -> np.ndarray:
     """Four real components of u^nu_{n,r}(s); unit norm under ds/sqrt(eB)."""
     coef, order = spinor_component_table(level, p)
-    scale = p.scale
-    vals = np.array([hermite_fn(int(k), s, scale) for k in order])
-    return coef * vals
+    return coef * hermite_table(level.n, [float(s)], p.scale)[order, 0]
 
 
 def product_rule(n_max: int, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

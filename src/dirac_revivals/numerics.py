@@ -4,10 +4,13 @@ The workhorse is the orthonormal Hermite function
 
     F_n(s) = (sqrt(eB) / (n! 2^n sqrt(pi)))^(1/2) exp(-s^2/2) H_n(s),
 
-evaluated by the three-term recurrence on the normalized functions
-themselves (never on raw H_n or n!), so magnitudes stay O(1) up to
-n ~ 10^4 and beyond.  A Gauss-Hermite rule and a peak finder round out
-the toolbox; both are pure functions with no shared mutable state.
+evaluated by one three-term recurrence on the normalized functions
+themselves (never on raw H_n or n!).  It carries a binary exponent per
+column, so every value that fits a double comes out right, also where the
+envelope exp(-s^2/2) alone underflows (large |s|, n ~ 10^4); see Bunck,
+BIT 49 (2009).  The grid table, the envelope-free polynomial table and the
+scalar value all derive from it.  A Gauss-Hermite rule and a peak finder
+round out the toolbox; both are pure functions with no shared mutable state.
 """
 
 from __future__ import annotations
@@ -28,12 +31,9 @@ __all__ = [
     "find_peaks",
 ]
 
-# exp(-s^2/2) underflows past here; the scalar path switches to a
-# rescaled recurrence, the table path refuses (grids never go there)
-_ENVELOPE_SMAX = 37.0
-
-_RESCALE = 2.0 ** 1000
-_LOG_RESCALE = 1000.0 * math.log(2.0)
+_LN2 = math.log(2.0)
+_HUGE_EXP = 600
+_HUGE = 2.0 ** _HUGE_EXP
 
 
 @dataclass(frozen=True)
@@ -71,66 +71,63 @@ def gauss_hermite(k: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def hermite_fn(n: int, s: float, scale: HermiteScale | None = None) -> float:
-    """Evaluate the orthonormal Hermite function F_n(s).
+def _hermite_rows(n_max: int, s, log_seed) -> np.ndarray:
+    """F_0..F_{n_max} at unit eB from the seed F_0 = pi^(-1/4) exp(log_seed).
 
-    Uses the recurrence F_{k+1} = s*sqrt(2/(k+1)) F_k - sqrt(k/(k+1)) F_{k-1}
-    with a running power-of-two rescale, so the result is correct even where
-    the Gaussian envelope exp(-s^2/2) alone would underflow doubles while
-    F_n itself is O(1) (large n, |s| inside the classical region).
+    The one recurrence behind every Hermite shape:
+    F_{k+1} = s*sqrt(2/(k+1)) F_k - sqrt(k/(k+1)) F_{k-1}.  Each column
+    carries a binary exponent.  A seed below exp(-600) is split into a
+    mantissa and that exponent, and every 16 steps the live pair of rows
+    of any column past 2^600 is divided by 2^600 (exact) after the rows
+    before it have been scaled back with ldexp.  Columns that need neither
+    run the plain recurrence, bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("s must be finite (no NaN or inf)")
+    log_seed = np.broadcast_to(np.asarray(log_seed, dtype=float), s.shape)
+    shift = np.where(log_seed < -600.0, np.floor(log_seed / _LN2), 0.0)
+    expo = shift.astype(np.int64)
+    out = np.empty((n_max + 1,) + s.shape)
+    out[0] = np.pi ** -0.25 * np.exp(log_seed - shift * _LN2)
+    if n_max >= 1:
+        out[1] = np.sqrt(2.0) * s * out[0]
+    done = 0  # rows below `done` hold unscaled values
+    for k in range(1, n_max):
+        out[k + 1] = np.sqrt(2.0 / (k + 1)) * s * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
+        if k % 16 == 0 and np.abs(out[k:k + 2]).max() > _HUGE:
+            big = (np.abs(out[k:k + 2]) > _HUGE).any(axis=0)
+            if expo.any():
+                out[done:k] = np.ldexp(out[done:k], expo)
+            done = k
+            out[k:k + 2, big] /= _HUGE
+            expo[big] += _HUGE_EXP
+    if expo.any():
+        out[done:] = np.ldexp(out[done:], expo)
+    return out
+
+
+def hermite_fn(n: int, s: float, scale: HermiteScale | None = None) -> float:
+    """Evaluate the orthonormal Hermite function F_n(s): row n of a one-column table.
+
+    Correct even where the Gaussian envelope exp(-s^2/2) alone underflows
+    doubles while F_n itself is O(1) (large n, |s| inside the classical
+    region).
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    s = float(s)
-    if math.isnan(s):
-        raise ValueError("s is NaN")
-    amp = scale.amplitude if scale is not None else 1.0
-
-    log_seed = -0.25 * math.log(math.pi) - 0.5 * s * s
-    q0 = 1.0
-    q1 = math.sqrt(2.0) * s
-    shift = log_seed
-    if n == 0:
-        q = q0
-    else:
-        for k in range(1, n):
-            q0, q1 = q1, math.sqrt(2.0 / (k + 1)) * s * q1 - math.sqrt(k / (k + 1.0)) * q0
-            m = max(abs(q0), abs(q1))
-            if m > _RESCALE:
-                q0 /= _RESCALE
-                q1 /= _RESCALE
-                shift += _LOG_RESCALE
-            elif 0.0 < m < 1.0 / _RESCALE:
-                q0 *= _RESCALE
-                q1 *= _RESCALE
-                shift -= _LOG_RESCALE
-        q = q1
-    if q == 0.0:
-        return 0.0
-    logv = math.log(abs(q)) + shift
-    if logv < -745.0:
-        return 0.0
-    return math.copysign(math.exp(logv), q) * amp
+    return float(hermite_table(n, [float(s)], scale)[n, 0])
 
 
 def hermite_table(n_max: int, s: np.ndarray, scale: HermiteScale | None = None) -> np.ndarray:
     """All F_0..F_{n_max} on a grid; shape (n_max+1, len(s)).
 
-    Plain (unrescaled) recurrence: valid for |s| <= ~37 where the Gaussian
-    seed is representable, which covers every working grid (|s| <= a+6).
+    Seeded with the envelope exp(-s^2/2); the per-column binary exponent
+    makes any finite s work, and values below the double range read 0.
     """
     s = np.asarray(s, dtype=float)
-    if np.isnan(s).any():
-        raise ValueError("s contains NaN")
-    if np.abs(s).max(initial=0.0) > _ENVELOPE_SMAX:
-        raise ValueError(f"hermite_table limited to |s| <= {_ENVELOPE_SMAX}; use hermite_fn")
+    out = _hermite_rows(n_max, s, -0.5 * s * s)
     amp = scale.amplitude if scale is not None else 1.0
-    out = np.empty((n_max + 1,) + s.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * s * s)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * s * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * s * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
     if amp != 1.0:
         out *= amp
     return out
@@ -143,14 +140,7 @@ def hermite_poly_table(n_max: int, s: np.ndarray) -> np.ndarray:
     exactly Gauss-Hermite summable (degree n rule coverage, no envelope
     stripping at the nodes).
     """
-    s = np.asarray(s, dtype=float)
-    out = np.empty((n_max + 1,) + s.shape)
-    out[0] = np.pi ** -0.25 * np.ones_like(s)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * s * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * s * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
+    return _hermite_rows(n_max, s, 0.0)
 
 
 def find_peaks(series, min_height: float, min_separation: float) -> list[tuple[float, float]]:

@@ -22,9 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import LevelIndex, PhysicalParams, _component_table, spinor_component_table
+from .landau import LevelIndex, PhysicalParams, _component_table, product_rule, spinor_component_table
 from .evolution import TimeSeries, _uniform_grid
-from .numerics import gauss_hermite, hermite_poly_table
 
 __all__ = [
     "GeneratorId",
@@ -129,9 +128,8 @@ def matrix_element(g: GeneratorId, lv1: LevelIndex, lv2: LevelIndex, p: Physical
     """Quadrature evaluation of the bilinear between two basis spinors."""
     mat = _MATRICES[g]
     n_max = max(lv1.n, lv2.n)
-    rule = gauss_hermite(n_max + 16)
-    P = hermite_poly_table(n_max, rule.nodes)
-    overlaps = (P * rule.weights) @ P.T  # integral of F_i F_j over ds/sqrt(eB)
+    _, w, P = product_rule(n_max, p)
+    overlaps = (P * w) @ P.T  # integral of F_i F_j over ds/sqrt(eB)
     c1, o1 = spinor_component_table(lv1, p)
     c2, o2 = spinor_component_table(lv2, p)
     return _element_from_tables(mat, c1, o1, c2, o2, overlaps)

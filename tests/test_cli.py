@@ -8,6 +8,7 @@ import pytest
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
 from dirac_revivals.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, _KZ_RTOL, main
+from dirac_revivals.density import density_closed_form
 from dirac_revivals.evolution import time_scales
 from dirac_revivals.landau import PhysicalParams
 
@@ -153,6 +154,21 @@ class TestDensity:
             integral = np.trapezoid(sel[:, 2], sel[:, 0])
             assert integral == pytest.approx(1.0, abs=1e-6)
             assert np.abs(sel[:, 2] - sel[::-1, 2]).max() < 1e-12
+
+    @pytest.mark.parametrize("a", [31.0, 32.0, 40.0])
+    def test_default_grid_resolves_fringes(self, tmp_path, a):
+        # nt = 5 over the default 3*T1 window puts a row on the t = 1.5*T1 hump
+        # crossing, where the interference fringes are finest
+        out = tmp_path / "d.json"
+        assert main(["density", "--a", str(a), "--nt", "5", "--format", "json",
+                     "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        s = np.linspace(doc["s_min"], doc["s_max"], doc["ns"])
+        rows = np.array(doc["values"]).reshape(doc["nt"], doc["ns"])
+        assert np.abs(np.trapezoid(rows, s, axis=1) - 1.0).max() < 1e-9
+        exp = expand(CatSpec("S", a, PhysicalParams()))
+        for t, row in zip(np.linspace(doc["t_min"], doc["t_max"], doc["nt"]), rows):
+            assert np.abs(row[::9] - density_closed_form(exp, s[::9], t)).max() < 1e-10
 
     def test_json_round_trip(self, tmp_path):
         out = tmp_path / "d.json"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profile
 from dirac_revivals.evolution import (TimeSeries, autocorrelation_series,
@@ -58,6 +60,16 @@ class TestSurvivalAmplitude:
     def test_bounded_by_one(self, cat5):
         ts = np.linspace(0.0, 500.0, 20001)
         assert np.abs(survival_amplitude(cat5, ts)).max() <= 1.0 + 1e-12
+
+    @given(sym=st.sampled_from(["S", "A"]), a=st.floats(1.0, 40.0), M=st.floats(0.0, 5.0),
+           kz=st.floats(-1.0, 1.0), eB=st.floats(0.25, 4.0),
+           ts=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_over_declared_box(self, sym, a, M, kz, eB, ts):
+        # the weights sum to 1 only to rounding and |C| is not renormalized
+        exp = expand(CatSpec(sym, a, PhysicalParams(M=M, kz=kz, eB=eB)))
+        c = np.abs(survival_amplitude(exp, np.array([0.0] + ts)))
+        assert c.max() <= 1.0 + 4.0 * np.finfo(float).eps
 
     def test_time_reversal_symmetry(self, cat5):
         ts = np.linspace(0.1, 60.0, 500)

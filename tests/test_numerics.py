@@ -17,6 +17,11 @@ SQRT_PI = math.sqrt(math.pi)
 F200_AT_3 = -0.17704504501632922724
 F10000_AT_141_4 = 0.21916361311660018423
 F300_AT_0_7 = -0.019354190050420793067
+# around and past the old |s| <= 37 table limit, where the seed exp(-s^2/2) is below exp(-600)
+# (mpmath 1.3.0, exp(-s^2/2) H_n(s) / sqrt(2^n n! sqrt(pi)) at 60 digits)
+F681_AT_38 = 0.00020432117786681472455
+F1009_AT_46 = 0.00011629003630852877709
+F50_AT_36_5 = 5.9805642003025626131e-237
 
 
 class TestHermiteFn:
@@ -60,6 +65,18 @@ class TestHermiteFn:
                 base = hermite_fn(n, 1.3, HermiteScale(1.0))
                 scaled = hermite_fn(n, 1.3, HermiteScale(c))
                 assert scaled == pytest.approx(c ** 0.25 * base, rel=1e-13)
+
+    @pytest.mark.parametrize("n, s, ref", [(681, 38.0, F681_AT_38), (1009, 46.0, F1009_AT_46),
+                                           (50, 36.5, F50_AT_36_5)])
+    def test_table_past_envelope_underflow(self, n, s, ref):
+        assert hermite_table(n, np.array([s]))[n, 0] == pytest.approx(ref, rel=1e-10)
+
+    def test_table_exact_parity_to_80(self):
+        pos = np.linspace(0.0, 80.0, 1601)
+        table = hermite_table(1500, np.concatenate([-pos[:0:-1], pos]))
+        sign = np.where(np.arange(1501) % 2 == 0, 1.0, -1.0)[:, None]
+        assert np.isfinite(table).all()
+        assert np.array_equal(table[:, ::-1], sign * table)
 
     def test_table_matches_scalar(self):
         s = np.linspace(-6.0, 6.0, 11)
@@ -112,6 +129,13 @@ def test_orthonormality_up_to_300():
     P = hermite_poly_table(300, rule.nodes)
     gram = (P * rule.weights) @ P.T
     assert np.abs(gram - np.eye(301)).max() < 1e-10
+
+
+def test_trapezoid_orthonormality_on_wide_grid():
+    s = np.linspace(-45.0, 45.0, 9001)
+    table = hermite_table(400, s)
+    gram = (table @ table.T) * (s[1] - s[0])
+    assert np.abs(gram - np.eye(401)).max() < 1e-10
 
 
 class TestFindPeaks:
