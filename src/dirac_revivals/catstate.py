@@ -219,17 +219,20 @@ def _oracle_overlaps(spec: CatSpec, n_max: int):
 
     Returns (levels, c1, c2, c3) on the (r=1,+), (r=2,+), (r=2,-) labels.
     Each Gaussian hump is integrated with its own shifted Gauss-Hermite rule
-    (complete the square at s = +-a/2), which is polynomial-exact and keeps
-    every intermediate finite up to a ~ 20 and n ~ few hundred.
+    (complete the square at s = +-a/2), which is polynomial-exact; every
+    intermediate stays finite while sqrt(2k + 1) + a/2 <= 37.5 for the
+    k-node rule, k = n_max // 2 + 24.
     """
     a = spec.a
     sgn = 1.0 if spec.symmetry == "S" else -1.0
     k = n_max // 2 + 24
-    if math.sqrt(2.0 * k + 1.0) + 0.5 * a > 37.5:
+    reach = math.sqrt(2.0 * k + 1.0) + 0.5 * a
+    if reach > 37.5:
         # the envelope-free Hermite parts grow like exp(s^2/2); past this
         # point they leave the double-precision range at the outer nodes
         raise ValueError(f"separation a={a} with n_max={n_max} exceeds the "
-                         "finite-precision envelope of the overlap oracle")
+                         "finite-precision envelope of the overlap oracle: "
+                         f"sqrt(2k + 1) + a/2 = {reach:.6g} > 37.5 with k = {k} nodes")
     rule = gauss_hermite(k)
     x, wq = rule.nodes, rule.weights
     # integral of exp(-(s -+ a)^2/2) F_m(s) ds/sqrt(eB) over each hump;

@@ -24,8 +24,8 @@ from .density import density_grid
 from .evolution import (autocorrelation_series, kz_for_ab_ratio, survival_series,
                         time_scales)
 from .landau import LevelIndex, PhysicalParams, one_particle_params
-from .observables import (GeneratorId, correlation_series, expectation_series,
-                          matrix_element)
+from .observables import (_CORRELATION_GENERATORS, GeneratorId, _concurrence_sq_formula,
+                          _mutual_information_formula, expectation_series, matrix_element)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -206,52 +206,37 @@ def _spec_and_fit(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None]:
     return spec_at(kz), info, fit
 
 
-def _emit(path: str, writer, *wargs) -> None:
-    if path == "-":
-        import tempfile
-        with tempfile.NamedTemporaryFile("r", suffix=".tmp", delete=False) as tmp:
-            tmppath = tmp.name
-        try:
-            writer(tmppath, *wargs)
-            with open(tmppath, "r", encoding="utf-8") as fh:
-                sys.stdout.write(fh.read())
-        finally:
-            os.unlink(tmppath)
-    else:
-        writer(path, *wargs)
-
-
 def cmd_spectral(cfg: dict) -> int:
     spec, _ = make_spec(cfg)
     exp = expand(spec, cfg["tail_eps"])
-    spectral = spectral_function(exp)
-    _emit(cfg["out"], dataio.write_spectral_csv, spectral)
+    dataio.write_spectral_csv(cfg["out"], spectral_function(exp))
     return EXIT_OK
 
 
-def _default_tmax(spec: CatSpec, exp, fit: LevelFit | None, multiple: float,
-                  which: str) -> float:
-    # only fit when the user leaves the window to us; under ab_ratio the
-    # solved fit gives the periods, the same n0 that timescales reports
-    if fit is None:
-        fit = gaussian_fit(exp)
-    scales = time_scales(fit.n0, spec.params)
-    return multiple * getattr(scales, which)
+def _window(cfg: dict, spec: CatSpec, exp, fit: LevelFit | None, multiple: float,
+            which: str) -> tuple[float, float]:
+    """(tmin, tmax) from the config; tmax defaults to multiple * the period `which`."""
+    tmin = cfg.get("tmin", 0.0) or 0.0
+    tmax = cfg.get("tmax")
+    if tmax is None:
+        # only fit when the user leaves the window to us; under ab_ratio the
+        # solved fit gives the periods, the same n0 that timescales reports
+        if fit is None:
+            fit = gaussian_fit(exp)
+        tmax = multiple * getattr(time_scales(fit.n0, spec.params), which)
+    return tmin, tmax
 
 
 def cmd_survival(cfg: dict) -> int:
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
-    tmin = cfg.get("tmin", 0.0) or 0.0
-    tmax = cfg.get("tmax")
-    if tmax is None:
-        tmax = _default_tmax(spec, exp, fit, 2.0, "T1")
+    tmin, tmax = _window(cfg, spec, exp, fit, 2.0, "T1")
     samples = cfg.get("samples") or 2000
     if cfg.get("complex_out"):
         series = autocorrelation_series(exp, tmin, tmax, samples)
     else:
         series = survival_series(exp, tmin, tmax, samples)
-    _emit(cfg["out"], dataio.write_series_csv, series, "abs_C")
+    dataio.write_series_csv(cfg["out"], series, "abs_C")
     return EXIT_OK
 
 
@@ -271,7 +256,7 @@ def cmd_timescales(cfg: dict) -> int:
         "params": {"mass": p.M, "kz": p.kz, "eB": p.eB, "a": spec.a,
                    "symmetry": spec.symmetry, **info},
     }
-    _emit(cfg["out"], dataio.write_timescales_json, report)
+    dataio.write_timescales_json(cfg["out"], report)
     return EXIT_OK
 
 
@@ -288,16 +273,11 @@ def cmd_density(cfg: dict) -> int:
     # Nyquist, so the cat's interference fringes do not alias
     band = math.sqrt(2 * exp.n_max + 1)
     ns = cfg.get("ns") or max(801, math.ceil((smax - smin) * band / math.pi) + 1)
-    tmin = cfg.get("tmin", 0.0) or 0.0
-    tmax = cfg.get("tmax")
-    if tmax is None:
-        tmax = _default_tmax(spec, exp, fit, 3.0, "T1")
+    tmin, tmax = _window(cfg, spec, exp, fit, 3.0, "T1")
     nt = cfg.get("nt") or 301
     grid = density_grid(exp, smin, smax, ns, tmin, tmax, nt)
-    if cfg["format"] == "json":
-        _emit(cfg["out"], dataio.write_grid_json, grid)
-    else:
-        _emit(cfg["out"], dataio.write_grid_csv, grid)
+    writer = dataio.write_grid_json if cfg["format"] == "json" else dataio.write_grid_csv
+    writer(cfg["out"], grid)
     return EXIT_OK
 
 
@@ -314,19 +294,16 @@ _EXPORTED_GENERATORS = (
 def cmd_observables(cfg: dict) -> int:
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
-    tmin = cfg.get("tmin", 0.0) or 0.0
-    tmax = cfg.get("tmax")
-    if tmax is None:
-        tmax = _default_tmax(spec, exp, fit, 1.0, "T2")
+    tmin, tmax = _window(cfg, spec, exp, fit, 1.0, "T2")
     samples = cfg.get("samples") or 2000
     ts = np.linspace(tmin, tmax, samples)
-    columns: dict[str, np.ndarray] = {}
-    for g in _EXPORTED_GENERATORS:
-        columns[g.value] = expectation_series(exp, g, tmin, tmax, samples).series.values
-    corr = correlation_series(exp, tmin, tmax, samples)
-    columns["concurrence_sq"] = corr["concurrence_sq"].values
-    columns["mutual_information"] = corr["mutual_information"].values
-    _emit(cfg["out"], dataio.write_columns_csv, ts, columns)
+    columns = {g.value: expectation_series(exp, g, tmin, tmax, samples).series.values
+               for g in _EXPORTED_GENERATORS}
+    # the correlation quantifiers' inputs are all exported columns
+    g0, sz, g5gz, igz, az = (columns[g.value] for g in _CORRELATION_GENERATORS)
+    columns["concurrence_sq"] = _concurrence_sq_formula(g0, sz)
+    columns["mutual_information"] = _mutual_information_formula(g0, sz, g5gz, igz, az)
+    dataio.write_columns_csv(cfg["out"], ts, columns)
     return EXIT_OK
 
 
@@ -407,10 +384,7 @@ def main(argv=None) -> int:
         if getattr(args, "complex_out", False):
             cfg["complex_out"] = True
         code = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -3,13 +3,15 @@
 Every CSV starts with a `# schema=1` comment and a header row; JSON
 documents carry a top-level "schema" field.  Numbers are formatted with
 repr-faithful %.17g so identical configurations produce byte-identical
-files.
+files.  Every writer takes a path, or "-" for stdout.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+import sys
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -29,63 +31,69 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_NUMBER = "%.17g"
 
 
 def format_number(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _NUMBER % float(x)
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
+def _cells(values) -> list[str]:
+    """format_number over a 1-D array, one `%` per value on Python floats."""
+    return [_NUMBER % x for x in np.asarray(values, dtype=float).tolist()]
+
+
+@contextmanager
+def _text_out(path: str) -> Iterator[TextIO]:
+    """The file at path opened for writing, or sys.stdout for "-"."""
+    if path == "-":
+        yield sys.stdout
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        yield fh
+
+
+def _write_table(path: str, header: Sequence[str], columns: Sequence[list[str]]) -> None:
+    """Schema line, header row, then row k joins cell k of every column."""
+    rows = len(columns[0])
+    for name, col in zip(header, columns):
+        if len(col) != rows:
+            raise ValueError(f"column {name!r} has {len(col)} values, "
+                             f"column {header[0]!r} has {rows}")
+    with _text_out(path) as fh:
+        fh.write(f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_spectral_csv(path: str, spectral: SpectralFunction) -> None:
     """Lines sorted by energy: columns energy, weight."""
-    lines = [f"# schema={SCHEMA_VERSION}", "energy,weight"]
-    for e, w in spectral.lines:
-        lines.append(f"{format_number(e)},{format_number(w)}")
-    _write_lines(path, lines)
+    lines = np.asarray(spectral.lines, dtype=float).reshape(-1, 2)
+    _write_table(path, ("energy", "weight"), (_cells(lines[:, 0]), _cells(lines[:, 1])))
 
 
 def write_series_csv(path: str, series: TimeSeries, label: str = "value") -> None:
     """Real series as t,<label>; complex series as t,re,im,abs."""
     values = np.asarray(series.values)
-    ts = series.times
-    lines = [f"# schema={SCHEMA_VERSION}"]
+    t = _cells(series.times)
     if np.iscomplexobj(values):
-        lines.append("t,re,im,abs")
-        for t, v in zip(ts, values):
-            lines.append(",".join((format_number(t), format_number(v.real),
-                                   format_number(v.imag), format_number(abs(v)))))
+        # Python's complex abs, not np.abs, whose array loop rounds differently
+        _write_table(path, ("t", "re", "im", "abs"),
+                     (t, _cells(values.real), _cells(values.imag),
+                      _cells([abs(v) for v in values.tolist()])))
     else:
-        lines.append(f"t,{label}")
-        for t, v in zip(ts, values):
-            lines.append(f"{format_number(t)},{format_number(v)}")
-    _write_lines(path, lines)
+        _write_table(path, ("t", label), (t, _cells(values)))
 
 
 def write_columns_csv(path: str, t: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     """Shared time axis with one named column per series."""
-    names = list(columns)
-    lines = [f"# schema={SCHEMA_VERSION}", ",".join(["t"] + names)]
-    for i, ti in enumerate(np.asarray(t)):
-        row = [format_number(ti)] + [format_number(columns[name][i]) for name in names]
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    _write_table(path, ("t", *columns), [_cells(t)] + [_cells(c) for c in columns.values()])
 
 
 def write_grid_csv(path: str, grid: SpatialGrid2D) -> None:
     """(s, t, value) triples, t-major then s."""
-    lines = [f"# schema={SCHEMA_VERSION}", "s,t,value"]
-    s = grid.s
-    for i, t in enumerate(grid.t):
-        for j in range(grid.ns):
-            lines.append(",".join((format_number(s[j]), format_number(t),
-                                   format_number(grid.values[i, j]))))
-    _write_lines(path, lines)
+    t = [cell for cell in _cells(grid.t) for _ in range(grid.ns)]
+    _write_table(path, ("s", "t", "value"),
+                 (_cells(grid.s) * grid.nt, t, _cells(grid.values.ravel())))
 
 
 def write_grid_json(path: str, grid: SpatialGrid2D) -> None:
@@ -100,7 +108,7 @@ def write_grid_json(path: str, grid: SpatialGrid2D) -> None:
         "nt": grid.nt,
         "values": [float(v) for v in grid.values.ravel()],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _text_out(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -111,6 +119,6 @@ def write_timescales_json(path: str, report: dict) -> None:
     for key in ("n0", "delta_n", "residual", "T1", "T2", "T3", "params"):
         if key in report:
             doc[key] = report[key]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _text_out(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

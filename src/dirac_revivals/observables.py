@@ -235,15 +235,19 @@ def closed_form_series(exp: CatExpansion, g: GeneratorId, t) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+# the inputs of the two formulas below, in their argument order
+_CORRELATION_GENERATORS = (
+    GeneratorId.GAMMA0,
+    GeneratorId.GAMMA5_ALPHA_Z,
+    GeneratorId.GAMMA5_GAMMA_Z,
+    GeneratorId.I_GAMMA_Z,
+    GeneratorId.ALPHA_Z,
+)
+
+
 def _five_observables(exp: CatExpansion, t_arr: np.ndarray):
     """(gamma0, Sigma_z, gamma5_gamma_z, i_gamma_z, alpha_z) via the engine."""
-    return tuple(expectation_values(exp, g, t_arr) for g in (
-        GeneratorId.GAMMA0,
-        GeneratorId.GAMMA5_ALPHA_Z,
-        GeneratorId.GAMMA5_GAMMA_Z,
-        GeneratorId.I_GAMMA_Z,
-        GeneratorId.ALPHA_Z,
-    ))
+    return tuple(expectation_values(exp, g, t_arr) for g in _CORRELATION_GENERATORS)
 
 
 def _concurrence_sq_formula(g0, sz):

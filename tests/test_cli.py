@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from dirac_revivals import observables
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
-from dirac_revivals.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, _KZ_RTOL, main
+from dirac_revivals.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
+                                _EXPORTED_GENERATORS, _KZ_RTOL, main)
 from dirac_revivals.density import density_closed_form
 from dirac_revivals.evolution import time_scales
 from dirac_revivals.landau import PhysicalParams
@@ -195,6 +197,48 @@ class TestObservables:
         col_b = rows[:, idx["i_gamma0_gamma5"]]
         assert np.abs(col_a - col_b).max() < 1e-10
 
+    @pytest.mark.parametrize("symmetry", ["S", "A"])
+    def test_columns_equal_library_series(self, tmp_path, monkeypatch, symmetry):
+        calls = []
+        engine = observables.expectation_values
+
+        def counted(exp, g, t):
+            calls.append(g)
+            return engine(exp, g, t)
+
+        monkeypatch.setattr(observables, "expectation_values", counted)
+        out = tmp_path / "o.csv"
+        assert main(["observables", "--a", "5", "--symmetry", symmetry, "--tmin", "1",
+                     "--tmax", "60", "--samples", "300", "--out", str(out)]) == EXIT_OK
+        # concurrence^2 and mutual information reuse the exported columns
+        assert calls == list(_EXPORTED_GENERATORS)
+        monkeypatch.undo()
+        header, rows = read_csv(out)
+        columns = dict(zip(header, rows.T))
+        exp = expand(CatSpec(symmetry, 5.0, PhysicalParams()))
+        for g in _EXPORTED_GENERATORS:
+            expected = observables.expectation_series(exp, g, 1.0, 60.0, 300).series.values
+            assert np.array_equal(columns[g.value], expected)
+        for name, series in observables.correlation_series(exp, 1.0, 60.0, 300).items():
+            assert np.array_equal(columns[name], series.values)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--a", "3"],
+    ["survival", "--a", "3", "--tmax", "5", "--samples", "50"],
+    ["survival", "--a", "3", "--tmax", "5", "--samples", "50", "--complex"],
+    ["timescales", "--a", "3"],
+    ["density", "--a", "3", "--tmax", "10", "--nt", "3", "--ns", "51"],
+    ["density", "--a", "3", "--tmax", "10", "--nt", "3", "--ns", "51", "--format", "json"],
+    ["observables", "--a", "3", "--tmax", "50", "--samples", "40"],
+])
+def test_stdout_bytes_equal_file_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
 
 class TestValidate:
     def test_default_passes(self, capsys):
@@ -212,6 +256,11 @@ class TestValidate:
     def test_corrupt_tolerance_is_config_error(self, monkeypatch):
         monkeypatch.setenv("DIRAC_REVIVALS_TOL", "not-a-number")
         assert main(["validate", "--a", "3"]) == EXIT_CONFIG
+
+    def test_oracle_refusal_names_its_bound(self, capsys):
+        # the default tail keeps n_max = 543 at a = 28, so the oracle needs k = 295 nodes
+        assert main(["validate", "--a", "28"]) == EXIT_CONFIG
+        assert "sqrt(2k + 1) + a/2 = 38.3105 > 37.5 with k = 295" in capsys.readouterr().err
 
 
 class TestConfigHandling:

@@ -1,0 +1,78 @@
+"""CSV writers against a line-by-line format_number reference."""
+
+import numpy as np
+import pytest
+
+from dirac_revivals.catstate import SpectralFunction
+from dirac_revivals.dataio import (format_number, write_columns_csv, write_grid_csv,
+                                   write_series_csv, write_spectral_csv)
+from dirac_revivals.density import SpatialGrid2D
+from dirac_revivals.evolution import TimeSeries
+
+# signed zero, the smallest subnormal, near-overflow, inexact decimals and
+# integral floats: the cases where %.17g spellings differ from repr
+EDGE = np.array([-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 2.0, -7.0, 1e17])
+
+
+def reference(header, rows):
+    lines = ["# schema=1", ",".join(header)]
+    lines += [",".join(format_number(x) for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_format_number_spellings():
+    assert [format_number(x) for x in EDGE] == [
+        "-0", "4.9406564584124654e-324", "1e+308", "0.10000000000000001",
+        "0.33333333333333331", "2", "-7", "1e+17"]
+
+
+def test_spectral(tmp_path):
+    lines = list(zip(EDGE.tolist(), EDGE[::-1].tolist()))
+    out = tmp_path / "spec.csv"
+    write_spectral_csv(str(out), SpectralFunction(lines=lines))
+    assert out.read_text() == reference(["energy", "weight"], lines)
+
+
+def test_real_series(tmp_path):
+    series = TimeSeries(t0=-0.5, dt=0.1, values=EDGE)
+    out = tmp_path / "s.csv"
+    write_series_csv(str(out), series, "abs_C")
+    assert out.read_text() == reference(["t", "abs_C"], zip(series.times, EDGE))
+
+
+def test_complex_series(tmp_path):
+    z = np.concatenate([EDGE + 1j * EDGE[::-1],
+                        0.7 * np.exp(1j * np.linspace(0.0, 50.0, 64))])
+    # the array np.abs rounds differently from the scalar abs on some of these
+    assert np.any(np.abs(z) != np.array([abs(complex(v)) for v in z]))
+    series = TimeSeries(t0=0.0, dt=0.25, values=z)
+    out = tmp_path / "c.csv"
+    write_series_csv(str(out), series)
+    rows = [(t, v.real, v.imag, abs(complex(v))) for t, v in zip(series.times, z)]
+    assert out.read_text() == reference(["t", "re", "im", "abs"], rows)
+
+
+def test_columns(tmp_path):
+    t = EDGE[::-1].copy()
+    columns = {"x": EDGE, "y": EDGE / 3.0, "z": np.arange(len(EDGE), dtype=float)}
+    out = tmp_path / "o.csv"
+    write_columns_csv(str(out), t, columns)
+    assert out.read_text() == reference(["t", "x", "y", "z"], zip(t, *columns.values()))
+
+
+def test_grid(tmp_path):
+    values = np.stack([EDGE, -EDGE[::-1], EDGE / 7.0])
+    grid = SpatialGrid2D(s_min=-1.0, s_max=1.0, ns=len(EDGE), t_min=0.0, t_max=1.0 / 3.0,
+                         nt=3, values=values)
+    out = tmp_path / "g.csv"
+    write_grid_csv(str(out), grid)
+    rows = [(grid.s[j], t, values[i, j]) for i, t in enumerate(grid.t) for j in range(grid.ns)]
+    assert out.read_text() == reference(["s", "t", "value"], rows)
+
+
+@pytest.mark.parametrize("length", [2, 5])
+def test_columns_of_unequal_length_rejected(tmp_path, length):
+    out = tmp_path / "o.csv"
+    with pytest.raises(ValueError, match=rf"'x' has {length} values, column 't' has 3"):
+        write_columns_csv(str(out), np.arange(3.0), {"x": np.arange(float(length))})
+    assert not out.exists()
