@@ -12,7 +12,7 @@ from .catstate import (CatExpansion, CatSpec, LevelFit, SpectralFunction,
                        spectral_function)
 from .density import SpatialGrid2D, density_closed_form, density_grid, probability_density
 from .evolution import (TimeScales, TimeSeries, autocorrelation_series,
-                        evolve_profile, evolve_state, kz_for_ab_ratio,
+                        evolve_profile, kz_for_ab_ratio,
                         survival_amplitude, survival_series, time_scales)
 from .landau import (LevelIndex, OneParticleParams, PhysicalParams, energy,
                      energy_derivatives, one_particle_params, spinor)
@@ -21,7 +21,7 @@ from .numerics import (HermiteScale, QuadratureRule, find_peaks, gauss_hermite,
 from .observables import (GeneratorId, ObservableSeries, closed_form_series,
                           concurrence_sq, correlation_series, expectation_series,
                           expectation_values, generator_matrix, matrix_element,
-                          mutual_information)
+                          matrix_elements, mutual_information)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "expand", "expand_oracle", "gaussian_fit", "initial_profile", "spectral_function",
     "SpatialGrid2D", "density_closed_form", "density_grid", "probability_density",
     "TimeScales", "TimeSeries", "autocorrelation_series", "evolve_profile",
-    "evolve_state", "kz_for_ab_ratio", "survival_amplitude", "survival_series",
+    "kz_for_ab_ratio", "survival_amplitude", "survival_series",
     "time_scales",
     "LevelIndex", "OneParticleParams", "PhysicalParams", "energy",
     "energy_derivatives", "one_particle_params", "spinor",
@@ -38,5 +38,5 @@ __all__ = [
     "hermite_fn", "hermite_table",
     "GeneratorId", "ObservableSeries", "closed_form_series", "concurrence_sq",
     "correlation_series", "expectation_series", "expectation_values",
-    "generator_matrix", "matrix_element", "mutual_information",
+    "generator_matrix", "matrix_element", "matrix_elements", "mutual_information",
 ]

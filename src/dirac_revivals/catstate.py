@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .landau import LevelIndex, PhysicalParams, _params_arrays
+from .landau import LABELS, PhysicalParams, _component_table, _params_arrays
 from .numerics import gauss_hermite, hermite_poly_table
 
 __all__ = [
@@ -63,9 +63,8 @@ class CatSpec:
 class CatExpansion:
     """Normalized eigenfunction expansion of a cat state.
 
-    Internally one row per excited level n = m+1 with the three branch
-    coefficients; `terms` flattens to (LevelIndex, coefficient) pairs,
-    skipping branches that are exactly zero.
+    One row per excited level n = m+1 with the three branch coefficients
+    on (r=1,+), (r=2,+), (r=2,-).
     """
 
     def __init__(self, spec: CatSpec, levels: np.ndarray, c_r1p: np.ndarray,
@@ -77,19 +76,6 @@ class CatExpansion:
         self.c_r2_minus = np.asarray(c_r2m, dtype=float)
         self.tail_eps = float(tail_eps)
         self.energies, self.A, self.B, self.eta = _params_arrays(self.levels, spec.params)
-
-    @property
-    def terms(self) -> list[tuple[LevelIndex, float]]:
-        out = []
-        for i, n in enumerate(self.levels):
-            n = int(n)
-            if self.c_r1_plus[i] != 0.0:
-                out.append((LevelIndex(n, 1, "+"), float(self.c_r1_plus[i])))
-            if self.c_r2_plus[i] != 0.0:
-                out.append((LevelIndex(n, 2, "+"), float(self.c_r2_plus[i])))
-            if self.c_r2_minus[i] != 0.0:
-                out.append((LevelIndex(n, 2, "-"), float(self.c_r2_minus[i])))
-        return out
 
     @property
     def level_weights(self) -> np.ndarray:
@@ -113,15 +99,6 @@ class CatExpansion:
     @property
     def n_max(self) -> int:
         return int(self.levels.max())
-
-    def coefficient(self, level: LevelIndex) -> float:
-        i = np.nonzero(self.levels == level.n)[0]
-        if i.size == 0:
-            return 0.0
-        i = int(i[0])
-        if level.r == 1:
-            return float(self.c_r1_plus[i]) if level.nu == "+" else 0.0
-        return float(self.c_r2_plus[i]) if level.nu == "+" else float(self.c_r2_minus[i])
 
 
 @dataclass(frozen=True)
@@ -214,14 +191,16 @@ def profile_norm(spec: CatSpec) -> float:
     return math.exp(-x) * h
 
 
-def _oracle_overlaps(spec: CatSpec, n_max: int):
-    """Unnormalized overlaps of the t=0 state with every level n <= n_max.
+def oracle_raw_overlaps(spec: CatSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized overlaps of the t=0 state with every basis label n <= n_max.
 
-    Returns (levels, c1, c2, c3) on the (r=1,+), (r=2,+), (r=2,-) labels.
-    Each Gaussian hump is integrated with its own shifted Gauss-Hermite rule
-    (complete the square at s = +-a/2), which is polynomial-exact; every
-    intermediate stays finite while sqrt(2k + 1) + a/2 <= 37.5 for the
-    k-node rule, k = n_max // 2 + 24.
+    Returns (levels, c) with levels = 1..n_max and c of shape (n_max, 4),
+    columns in LABELS order.  Row n - 1 includes what the expansion drops
+    (wrong parity, (r=1,nu=-)), so the selection rules can be checked
+    directly.  Each Gaussian hump is integrated with its own shifted
+    Gauss-Hermite rule (complete the square at s = +-a/2), which is
+    polynomial-exact; every intermediate stays finite while
+    sqrt(2k + 1) + a/2 <= 37.5 for the k-node rule, k = n_max // 2 + 24.
     """
     a = spec.a
     sgn = 1.0 if spec.symmetry == "S" else -1.0
@@ -243,47 +222,29 @@ def _oracle_overlaps(spec: CatSpec, n_max: int):
     overlap_first = amp * ((P_plus @ wq) + sgn * (P_minus @ wq))  # index m = 0..n_max
 
     levels = np.arange(1, n_max + 1)
-    _, A, B, eta = _params_arrays(levels, spec.params)
-    se = np.sqrt(eta)
-    # only the first spinor component meets the initial state; its entry is
-    # F_{n-1} with coefficient sqrt(eta)*{1, 0, B, -A} per (r, nu) label
-    I = overlap_first[levels - 1]
-    return levels, se * I, se * B * I, -se * A * I
+    # only the first spinor component meets the initial state; it sits on
+    # F_{n-1} for every label, with the label's own coefficient
+    coef, _ = _component_table(LABELS, levels, spec.params)
+    return levels, coef[:, :, 0] * overlap_first[levels - 1, None]
 
 
 def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
     """Ground-truth expansion by quadrature of the overlap integrals.
 
     Evaluates c = integral phi^dag(s,0) u(s) ds/sqrt(eB) for every level
-    n <= n_max and all four (r, nu) labels, then renormalizes.  This is the
-    arbiter for index and sign conventions; it shares nothing with `expand`
-    beyond the spinor parameters themselves.
+    n <= n_max and all four (r, nu) labels, then renormalizes.  Every level
+    is kept, zero rows included, so row n - 1 belongs to level n.  This is
+    the arbiter for index and sign conventions; it shares nothing with
+    `expand` beyond the spinor parameters themselves.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    levels, c1, c2, c3 = _oracle_overlaps(spec, n_max)
+    levels, c = oracle_raw_overlaps(spec, n_max)
+    c1, c2, c3 = c[:, 0], c[:, 2], c[:, 3]
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
     if norm == 0.0:
         raise ValueError("null state: no overlap with any level")
-    keep = (c1 ** 2 + c2 ** 2 + c3 ** 2) > 0.0
-    return CatExpansion(spec, levels[keep], c1[keep] / norm, c2[keep] / norm,
-                        c3[keep] / norm, tail_eps=0.0)
-
-
-def oracle_raw_overlaps(spec: CatSpec, n_max: int) -> dict[LevelIndex, float]:
-    """Unnormalized overlap of the t=0 state with every basis label n <= n_max.
-
-    Exposes the labels the expansion drops (wrong parity, (r=1,nu=-)) so the
-    selection rule can be checked directly.
-    """
-    levels, c1, c2, c3 = _oracle_overlaps(spec, n_max)
-    out: dict[LevelIndex, float] = {}
-    for i, n in enumerate(levels.tolist()):
-        out[LevelIndex(n, 1, "+")] = c1[i]
-        out[LevelIndex(n, 1, "-")] = 0.0  # first component of u^-_{n,1} vanishes
-        out[LevelIndex(n, 2, "+")] = c2[i]
-        out[LevelIndex(n, 2, "-")] = c3[i]
-    return out
+    return CatExpansion(spec, levels, c1 / norm, c2 / norm, c3 / norm, tail_eps=0.0)
 
 
 def spectral_function(exp: CatExpansion) -> SpectralFunction:

@@ -23,9 +23,9 @@ from .catstate import (CatSpec, LevelFit, expand, expand_oracle, gaussian_fit,
 from .density import density_grid
 from .evolution import (autocorrelation_series, kz_for_ab_ratio, survival_series,
                         time_scales)
-from .landau import LevelIndex, PhysicalParams, one_particle_params
+from .landau import PhysicalParams
 from .observables import (_CORRELATION_GENERATORS, GeneratorId, _concurrence_sq_formula,
-                          _mutual_information_formula, expectation_series, matrix_element)
+                          _mutual_information_formula, expectation_series, matrix_elements)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {
     "mass": 0.0, "kz": None, "eB": 1.0, "a": 5.0, "symmetry": "S",
-    "ab_ratio": None, "tail_eps": 1e-12, "out": "-", "format": "csv",
+    "ab_ratio": None, "tail_eps": 1e-12, "samples": 2000, "nt": 301,
+    "out": "-", "format": "csv",
 }
 
 
@@ -139,6 +140,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    for key, kind in _CONFIG_KEYS.items():
+        if kind is float and cfg.get(key) is not None and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if cfg.get("eB") is None or cfg["eB"] <= 0.0:
         raise ConfigError(f"eB must be positive, got {cfg.get('eB')}")
     if cfg.get("a") is None or cfg["a"] < 0.0:
@@ -231,11 +235,10 @@ def cmd_survival(cfg: dict) -> int:
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
     tmin, tmax = _window(cfg, spec, exp, fit, 2.0, "T1")
-    samples = cfg.get("samples") or 2000
     if cfg.get("complex_out"):
-        series = autocorrelation_series(exp, tmin, tmax, samples)
+        series = autocorrelation_series(exp, tmin, tmax, cfg["samples"])
     else:
-        series = survival_series(exp, tmin, tmax, samples)
+        series = survival_series(exp, tmin, tmax, cfg["samples"])
     dataio.write_series_csv(cfg["out"], series, "abs_C")
     return EXIT_OK
 
@@ -272,10 +275,11 @@ def cmd_density(cfg: dict) -> int:
     # sample the band limit sqrt(2*n_max + 1) of the truncated expansion at
     # Nyquist, so the cat's interference fringes do not alias
     band = math.sqrt(2 * exp.n_max + 1)
-    ns = cfg.get("ns") or max(801, math.ceil((smax - smin) * band / math.pi) + 1)
+    ns = cfg.get("ns")
+    if ns is None:
+        ns = max(801, math.ceil((smax - smin) * band / math.pi) + 1)
     tmin, tmax = _window(cfg, spec, exp, fit, 3.0, "T1")
-    nt = cfg.get("nt") or 301
-    grid = density_grid(exp, smin, smax, ns, tmin, tmax, nt)
+    grid = density_grid(exp, smin, smax, ns, tmin, tmax, cfg["nt"])
     writer = dataio.write_grid_json if cfg["format"] == "json" else dataio.write_grid_csv
     writer(cfg["out"], grid)
     return EXIT_OK
@@ -295,7 +299,7 @@ def cmd_observables(cfg: dict) -> int:
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
     tmin, tmax = _window(cfg, spec, exp, fit, 1.0, "T2")
-    samples = cfg.get("samples") or 2000
+    samples = cfg["samples"]
     ts = np.linspace(tmin, tmax, samples)
     columns = {g.value: expectation_series(exp, g, tmin, tmax, samples).series.values
                for g in _EXPORTED_GENERATORS}
@@ -324,38 +328,37 @@ def cmd_validate(cfg: dict) -> int:
     checks: list[tuple[str, float, float, bool]] = []
 
     def record(name: str, value: float, bound: float) -> None:
+        value = float(value)
         checks.append((name, value, bound, value <= bound))
 
-    # analytic expansion against the quadrature oracle, coefficient by coefficient
+    # analytic expansion against the quadrature oracle, coefficient by
+    # coefficient; oracle row n - 1 holds level n
     oracle = expand_oracle(spec, exp.n_max + 2)
-    dev = 0.0
-    for level, coeff in exp.terms:
-        dev = max(dev, abs(coeff - oracle.coefficient(level)))
+    rows = exp.levels - 1
+    dev = max(np.abs(exp.c_r1_plus - oracle.c_r1_plus[rows]).max(),
+              np.abs(exp.c_r2_plus - oracle.c_r2_plus[rows]).max(),
+              np.abs(exp.c_r2_minus - oracle.c_r2_minus[rows]).max())
     record("coefficient_oracle_equivalence", dev, tol)
 
-    # wrong-parity and (r=1,nu=-) overlaps must vanish
-    raw = oracle_raw_overlaps(spec, exp.n_max + 2)
+    # wrong-parity rows and the (r=1,nu=-) column must vanish
+    levels, raw = oracle_raw_overlaps(spec, exp.n_max + 2)
     parity = 0 if spec.symmetry == "S" else 1
-    leak = max((abs(v) for lv, v in raw.items()
-                if (lv.n - 1) % 2 != parity or (lv.r, lv.nu) == (1, "-")), default=0.0)
+    leak = max(np.abs(raw[(levels - 1) % 2 != parity]).max(initial=0.0),
+               np.abs(raw[:, 1]).max())
     record("parity_selection_leak", leak, max(tol, 1e-10))
 
     # unit total weight and unit survival at t = 0
     record("normalization_defect", abs(exp.total_weight - 1.0), max(tol, 1e-12))
 
     # constraint identity on the populated levels
-    resid = max(abs(one_particle_params(int(n), spec.params).constraint_residual())
-                for n in exp.levels)
-    record("constraint_identity", resid, max(tol, 1e-12))
+    resid = exp.eta * (exp.A * exp.A + exp.B * exp.B + 1.0) - 1.0
+    record("constraint_identity", np.abs(resid).max(), max(tol, 1e-12))
 
-    # block-diagonal selection rule on a small level window
-    sel = 0.0
-    p = spec.params
-    for g in (GeneratorId.GAMMA0, GeneratorId.GAMMA5_ALPHA_Z):
-        for n in (1, 2, 3):
-            for m in (n + 2, n + 4):
-                sel = max(sel, abs(matrix_element(g, LevelIndex(n, 1, "+"),
-                                                  LevelIndex(m, 1, "+"), p)))
+    # block-diagonal selection rule: every n != m pair of levels 1..7, all labels
+    levels = np.arange(1, 8)
+    cross = levels[:, None] != levels[None, :]
+    sel = max(np.abs(matrix_elements(g, levels, spec.params)).max(axis=(1, 3))[cross].max()
+              for g in (GeneratorId.GAMMA0, GeneratorId.GAMMA5_ALPHA_Z))
     record("selection_rule_leak", sel, max(tol, 1e-10))
 
     width = max(len(name) for name, *_ in checks)

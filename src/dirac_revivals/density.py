@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatExpansion
-from .evolution import evolve_profile
+from .evolution import _uniform_grid, evolve_profile
 from .numerics import hermite_table
 
 __all__ = ["SpatialGrid2D", "probability_density", "density_closed_form", "density_grid"]
@@ -99,12 +99,8 @@ def density_closed_form(exp: CatExpansion, s, t: float):
 def density_grid(exp: CatExpansion, s_min: float, s_max: float, ns: int,
                  t_min: float, t_max: float, nt: int) -> SpatialGrid2D:
     """Fill an (s, t) rectangle with probability_density, row by row."""
-    if ns < 2 or nt < 2:
-        raise ValueError("grid needs ns >= 2 and nt >= 2")
-    if not (s_max > s_min and t_max > t_min):
-        raise ValueError("grid bounds must be increasing")
-    s = np.linspace(s_min, s_max, ns)
-    ts = np.linspace(t_min, t_max, nt)
+    s, _ = _uniform_grid(s_min, s_max, ns)
+    ts, _ = _uniform_grid(t_min, t_max, nt)
     values = np.empty((nt, ns))
     for i, t in enumerate(ts):
         values[i] = probability_density(exp, s, float(t))

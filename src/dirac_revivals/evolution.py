@@ -29,7 +29,6 @@ __all__ = [
     "survival_amplitude",
     "survival_series",
     "autocorrelation_series",
-    "evolve_state",
     "evolve_profile",
 ]
 
@@ -94,6 +93,8 @@ def _uniform_grid(t0: float, t1: float, samples: int) -> tuple[np.ndarray, float
     """Times and spacing of `samples` uniform samples over [t0, t1]."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if not math.isfinite(float(t1) - float(t0)):  # also false for inf or nan bounds
+        raise ValueError(f"grid bounds must be finite, with a finite span; got [{t0}, {t1}]")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     return np.linspace(t0, t1, samples), (t1 - t0) / (samples - 1)
@@ -154,8 +155,3 @@ def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
     out[2] = (se * (A * w1 + w3)) @ F_lo
     out[3] = (se * (-B * w1 + w2)) @ F_hi
     return out
-
-
-def evolve_state(exp: CatExpansion, s: float, t: float) -> np.ndarray:
-    """Four complex components of psi(s, t) at a single point."""
-    return evolve_profile(exp, np.array([float(s)]), t)[:, 0]

@@ -18,6 +18,7 @@ import numpy as np
 from .numerics import HermiteScale, gauss_hermite, hermite_poly_table, hermite_table
 
 __all__ = [
+    "LABELS",
     "PhysicalParams",
     "LevelIndex",
     "OneParticleParams",
@@ -28,6 +29,9 @@ __all__ = [
     "spinor_component_table",
     "product_rule",
 ]
+
+# the (r, nu) labels of one level, in the column order of every oracle array
+LABELS = ((1, "+"), (1, "-"), (2, "+"), (2, "-"))
 
 
 @dataclass(frozen=True)

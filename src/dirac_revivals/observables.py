@@ -7,7 +7,8 @@ constant generator block out levels with n != m here, so the engine sums
 one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
 labels; the F_k are orthonormal, so within a level two spinor components
 meet only on equal Hermite orders.  `matrix_element` evaluates the same
-bilinears by Gauss-Hermite quadrature and serves as the independent oracle.
+bilinears by Gauss-Hermite quadrature and serves as the independent oracle;
+`matrix_elements` gives every level and label pair at once.
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -22,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import LevelIndex, PhysicalParams, _component_table, product_rule, spinor_component_table
+from .landau import LABELS, LevelIndex, PhysicalParams, _component_table, product_rule
 from .evolution import TimeSeries, _uniform_grid
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "ObservableSeries",
     "generator_matrix",
     "matrix_element",
+    "matrix_elements",
     "expectation_series",
     "expectation_values",
     "closed_form_series",
@@ -110,29 +112,29 @@ def generator_matrix(g: GeneratorId) -> np.ndarray:
     return _MATRICES[g].copy()
 
 
-def _element_from_tables(mat: np.ndarray, coef1, order1, coef2, order2, overlaps: np.ndarray) -> complex:
-    """<u1| mat |u2> given component tables and F_i F_j overlap matrix."""
-    acc = 0.0 + 0.0j
-    for i in range(4):
-        if coef1[i] == 0.0:
-            continue
-        for j in range(4):
-            m = mat[i, j]
-            if m == 0 or coef2[j] == 0.0:
-                continue
-            acc += coef1[i] * m * coef2[j] * overlaps[order1[i], order2[j]]
-    return acc
+def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
+    """Quadrature <u_a|Gamma|u_b> over every (level, label) pair, shape (L, 4, L, 4).
+
+    Entry [k, a, l, b] pairs label LABELS[a] of levels[k] with LABELS[b] of
+    levels[l].  Each spinor component sits on one F_k, so the bilinears are
+    the component coefficients contracted against the Gauss-Hermite Gram
+    matrix of the F_i F_j, indexed by Hermite order.
+    """
+    levels = np.asarray(levels, dtype=int)
+    if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
+        raise ValueError(f"levels must be a nonempty list of integers >= 1, got {levels}")
+    coef, offset = _component_table(LABELS, levels, p)  # (L, 4 labels, 4 components)
+    order = (levels[:, None, None] - 1 + offset).reshape(-1)
+    _, w, P = product_rule(int(levels.max()), p)
+    gram = ((P * w) @ P.T)[np.ix_(order, order)].reshape(coef.shape + coef.shape)
+    left = coef[..., None] * _MATRICES[g]  # (L, 4, 4, 4): coefficient times row of Gamma
+    return np.einsum("kaij,lbj,kailbj->kalb", left, coef, gram)
 
 
 def matrix_element(g: GeneratorId, lv1: LevelIndex, lv2: LevelIndex, p: PhysicalParams) -> complex:
     """Quadrature evaluation of the bilinear between two basis spinors."""
-    mat = _MATRICES[g]
-    n_max = max(lv1.n, lv2.n)
-    _, w, P = product_rule(n_max, p)
-    overlaps = (P * w) @ P.T  # integral of F_i F_j over ds/sqrt(eB)
-    c1, o1 = spinor_component_table(lv1, p)
-    c2, o2 = spinor_component_table(lv2, p)
-    return _element_from_tables(mat, c1, o1, c2, o2, overlaps)
+    el = matrix_elements(g, [lv1.n, lv2.n], p)
+    return complex(el[0, LABELS.index((lv1.r, lv1.nu)), 1, LABELS.index((lv2.r, lv2.nu))])
 
 
 _LABELS = ((1, "+"), (2, "+"), (2, "-"))

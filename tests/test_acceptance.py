@@ -18,13 +18,11 @@ from dirac_revivals.catstate import CatSpec, expand, expand_oracle, gaussian_fit
 from dirac_revivals.evolution import (TimeSeries, kz_for_ab_ratio,
                                       survival_amplitude, survival_series,
                                       time_scales)
-from dirac_revivals.landau import (LevelIndex, PhysicalParams,
-                                   one_particle_params, product_rule,
-                                   spinor_component_table)
+from dirac_revivals.landau import LABELS, LevelIndex, PhysicalParams, one_particle_params
 from dirac_revivals.numerics import find_peaks
 from dirac_revivals.observables import (GeneratorId, closed_form_series,
                                         concurrence_sq, expectation_values,
-                                        generator_matrix, matrix_element)
+                                        matrix_element, matrix_elements)
 
 MASSLESS = PhysicalParams()
 
@@ -72,8 +70,11 @@ def test_criterion_2_coefficient_oracle_equivalence():
                 spec = CatSpec(sym, a, p)
                 exp = expand(spec)
                 oracle = expand_oracle(spec, exp.n_max + 2)
-                for lv, c in exp.terms:
-                    worst = max(worst, abs(c - oracle.coefficient(lv)))
+                rows = exp.levels - 1  # oracle row n - 1 holds level n
+                for c, c_oracle in ((exp.c_r1_plus, oracle.c_r1_plus),
+                                    (exp.c_r2_plus, oracle.c_r2_plus),
+                                    (exp.c_r2_minus, oracle.c_r2_minus)):
+                    worst = max(worst, np.abs(c - c_oracle[rows]).max())
     ok = worst <= 1e-8
     assert report(2, "coefficient oracle equivalence", ok,
                   f"max |dc| {worst:.2e} over a in (1,5,10), S/A, 3 parameter sets", t0)
@@ -173,50 +174,23 @@ def test_criterion_6_charge_conservation():
 def test_criterion_7_selection_rules():
     t0 = time.perf_counter()
     p = PhysicalParams(M=1.0, kz=0.7, eB=1.0)
-    _, w, P = product_rule(41, p)
-    gram = (P * w) @ P.T
+    levels = np.arange(1, 41)
+    tables = {g: matrix_elements(g, levels, p) for g in GeneratorId}
 
-    def element(mat, lv1, lv2):
-        c1, o1 = spinor_component_table(lv1, p)
-        c2, o2 = spinor_component_table(lv2, p)
-        acc = 0.0 + 0.0j
-        for i in range(4):
-            if c1[i] == 0.0:
-                continue
-            row = mat[i]
-            for j in range(4):
-                if row[j] != 0 and c2[j] != 0.0:
-                    acc += c1[i] * row[j] * c2[j] * gram[o1[i], o2[j]]
-        return acc
-
-    # the amortized evaluator agrees with the public quadrature op
-    lv_a, lv_b = LevelIndex(3, 1, "+"), LevelIndex(3, 2, "-")
+    # the batched oracle agrees with the public scalar op
     for g in (GeneratorId.GAMMA0, GeneratorId.ALPHA_Z):
-        direct = matrix_element(g, lv_a, lv_b, p)
-        assert abs(element(generator_matrix(g), lv_a, lv_b) - direct) < 1e-13
+        direct = matrix_element(g, LevelIndex(3, 1, "+"), LevelIndex(3, 2, "-"), p)
+        batched = tables[g][2, LABELS.index((1, "+")), 2, LABELS.index((2, "-"))]
+        assert abs(batched - direct) < 1e-13
 
-    labels = [(1, "+"), (1, "-"), (2, "+"), (2, "-")]
+    # level pairs n < m, all label pairs: [n, la, m, lb] -> [n, m, la, lb]
+    n, m = np.meshgrid(levels, levels, indexing="ij")
     diag_gens = [GeneratorId.IDENTITY, GeneratorId.GAMMA0,
                  GeneratorId.GAMMA5_ALPHA_Z, GeneratorId.GAMMA5_GAMMA_Z]
-    worst_diag = 0.0
-    for g in diag_gens:
-        mat = generator_matrix(g)
-        for n in range(1, 41):
-            for m in range(n + 1, 41):
-                for la in labels:
-                    for lb in labels:
-                        worst_diag = max(worst_diag, abs(element(
-                            mat, LevelIndex(n, *la), LevelIndex(m, *lb))))
-
-    worst_parity = 0.0
-    all_gens = [(g, generator_matrix(g)) for g in GeneratorId]
-    for g, mat in all_gens:
-        for n in range(1, 41):
-            for m in range(n + 2, 41, 2):
-                for la in labels:
-                    for lb in labels:
-                        worst_parity = max(worst_parity, abs(element(
-                            mat, LevelIndex(n, *la), LevelIndex(m, *lb))))
+    worst_diag = max(np.abs(tables[g].transpose(0, 2, 1, 3)[n < m]).max() for g in diag_gens)
+    same_parity = (m > n) & ((m - n) % 2 == 0)
+    worst_parity = max(np.abs(t.transpose(0, 2, 1, 3)[same_parity]).max()
+                       for t in tables.values())
 
     exp_w, sc_w, _ = weak_field_setup()
     ts = np.linspace(0.0, sc_w.T1, 400)

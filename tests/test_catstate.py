@@ -8,7 +8,7 @@ import pytest
 from dirac_revivals.catstate import (CatSpec, expand, expand_oracle, gaussian_fit,
                                      initial_profile, oracle_raw_overlaps,
                                      profile_norm, spectral_function)
-from dirac_revivals.landau import PhysicalParams
+from dirac_revivals.landau import PhysicalParams, one_particle_params
 from dirac_revivals.numerics import hermite_table
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
@@ -78,6 +78,14 @@ class TestExpand:
         assert discarded < tail
 
 
+def _coefficient_deviation(exp, oracle):
+    """max |c - c_oracle| over the expansion's levels; oracle row n - 1 holds level n."""
+    rows = exp.levels - 1
+    return max(np.abs(exp.c_r1_plus - oracle.c_r1_plus[rows]).max(),
+               np.abs(exp.c_r2_plus - oracle.c_r2_plus[rows]).max(),
+               np.abs(exp.c_r2_minus - oracle.c_r2_minus[rows]).max())
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("a", (1.0, 5.0, 10.0))
     @pytest.mark.parametrize("sym", ("S", "A"))
@@ -85,31 +93,39 @@ class TestOracleEquivalence:
         for p in PARAM_SETS:
             spec = CatSpec(sym, a, p)
             exp = expand(spec)
-            oracle = expand_oracle(spec, exp.n_max + 2)
-            dev = max(abs(c - oracle.coefficient(lv)) for lv, c in exp.terms)
-            assert dev < 1e-8
+            assert _coefficient_deviation(exp, expand_oracle(spec, exp.n_max + 2)) < 1e-8
 
     def test_point_state_oracle(self):
         spec = CatSpec("S", 0.0, PhysicalParams(M=500.0))
         exp = expand(spec)
-        oracle = expand_oracle(spec, 6)
-        for lv, c in exp.terms:
-            assert oracle.coefficient(lv) == pytest.approx(c, abs=1e-12)
+        assert _coefficient_deviation(exp, expand_oracle(spec, 6)) <= 1e-12
 
     def test_wrong_parity_overlaps_vanish(self):
         for sym, parity in (("S", 0), ("A", 1)):
             spec = CatSpec(sym, 5.0, PhysicalParams(M=1.0, kz=0.3))
-            raw = oracle_raw_overlaps(spec, 40)
-            leak = max(abs(v) for lv, v in raw.items()
-                       if (lv.n - 1) % 2 != parity or (lv.r, lv.nu) == (1, "-"))
+            levels, raw = oracle_raw_overlaps(spec, 40)
+            leak = max(np.abs(raw[(levels - 1) % 2 != parity]).max(), np.abs(raw[:, 1]).max())
             assert leak < 1e-10
+
+    @pytest.mark.parametrize("p", PARAM_SETS)
+    def test_r1_spin_down_column_is_computed_zero(self, p):
+        # u^-_{n,1} has no first component, so its overlap vanishes exactly;
+        # the other columns carry sqrt(eta) {1, B, -A} times one shared integral
+        spec = CatSpec("A", 3.0, p)
+        levels, raw = oracle_raw_overlaps(spec, 30)
+        assert raw.shape == (30, 4) and list(levels) == list(range(1, 31))
+        assert np.all(raw[:, 1] == 0.0)
+        q = [one_particle_params(n, p) for n in levels]
+        ratio_B = np.array([x.B for x in q])
+        ratio_A = np.array([-x.A for x in q])
+        assert np.abs(raw[:, 2] - ratio_B * raw[:, 0]).max() <= 1e-15
+        assert np.abs(raw[:, 3] - ratio_A * raw[:, 0]).max() <= 1e-15
 
     def test_parseval_against_profile_norm(self):
         # raw squared overlaps must resum to the squared norm of the raw profile
         spec = CatSpec("S", 10.0, MASSLESS)
-        raw = oracle_raw_overlaps(spec, 130)
-        total = sum(v * v for v in raw.values())
-        assert total == pytest.approx(profile_norm(spec), abs=1e-12)
+        _, raw = oracle_raw_overlaps(spec, 130)
+        assert float((raw ** 2).sum()) == pytest.approx(profile_norm(spec), abs=1e-12)
 
     def test_mass_suppresses_negative_branch(self):
         light = expand(CatSpec("S", 5.0, MASSLESS))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,3 +296,39 @@ class TestConfigHandling:
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["spectral", "--a", "2", "--out", str(missing)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["density", "--tmax", "inf"], "tmax"),
+    (["density", "--smax", "inf"], "smax"),
+    (["survival", "--tmax", "inf"], "tmax"),
+    (["observables", "--tmax", "inf"], "tmax"),
+])
+def test_non_finite_bound_is_config_error(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--a", "3", "--out", str(out)]) == EXIT_CONFIG
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_file_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mass = nan\n")
+    assert main(["spectral", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "mass must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["survival", "--samples", "0"],
+    ["observables", "--samples", "0"],
+    ["density", "--nt", "0"],
+    ["density", "--ns", "0"],
+])
+def test_zero_count_is_refused(tmp_path, capsys, argv):
+    # 0 is a count, not "use the default"
+    out = tmp_path / "out"
+    assert main(argv + ["--a", "3", "--tmax", "5", "--out", str(out)]) == EXIT_CONFIG
+    assert "need at least 2 samples" in capsys.readouterr().err
+    assert not out.exists()

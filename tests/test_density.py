@@ -139,3 +139,7 @@ class TestGrid:
             density_grid(exp, -1.0, 1.0, 1, 0.0, 1.0, 4)
         with pytest.raises(ValueError):
             density_grid(exp, 1.0, -1.0, 10, 0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            density_grid(exp, -1.0, math.inf, 10, 0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            density_grid(exp, -1.0, 1.0, 10, 0.0, math.inf, 4)

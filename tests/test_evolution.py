@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profile
 from dirac_revivals.evolution import (TimeSeries, autocorrelation_series,
-                                      evolve_profile, evolve_state, kz_for_ab_ratio,
+                                      evolve_profile, kz_for_ab_ratio,
                                       survival_amplitude, survival_series, time_scales)
 from dirac_revivals.landau import PhysicalParams, one_particle_params
 from dirac_revivals.numerics import find_peaks
@@ -169,7 +169,7 @@ class TestEvolveState:
     def test_origin_value(self):
         spec = CatSpec("S", 5.0, MASSLESS)
         exp = expand(spec, tail_eps=1e-15)
-        psi = evolve_state(exp, 0.0, 0.0)
+        psi = evolve_profile(exp, [0.0], 0.0)[:, 0]
         expected = math.pi ** -0.25 * math.exp(-12.5) / math.sqrt(0.5 * (1 + math.exp(-25.0)))
         # absolute pointwise tolerance: truncation leaves sqrt(tail_eps)-scale dust
         assert psi[0].real == pytest.approx(expected, abs=1e-8)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from dirac_revivals.landau import (LevelIndex, PhysicalParams, energy,
                                    energy_derivatives, one_particle_params,
-                                   product_rule, spinor, spinor_component_table)
-
-LABELS = [(1, "+"), (1, "-"), (2, "+"), (2, "-")]
+                                   spinor, spinor_component_table)
+from dirac_revivals.observables import GeneratorId, matrix_elements
 
 
 class TestEnergy:
@@ -65,47 +64,29 @@ class TestOneParticleParams:
         assert np.all(np.diff(B) >= -1e-15)
 
 
-def _overlap_matrix(n_max, p):
-    _, w, P = product_rule(n_max, p)
-    return (P * w) @ P.T
-
-
-def _element(gram, lv1, lv2, p):
-    """<u1|u2> over ds/sqrt(eB) from the component tables."""
-    c1, o1 = spinor_component_table(lv1, p)
-    c2, o2 = spinor_component_table(lv2, p)
-    return sum(c1[i] * c2[i] * gram[o1[i], o2[i]] for i in range(4))
+def _overlaps(levels, p):
+    """<u_a|u_b> over ds/sqrt(eB) for every (level, label) pair: the quadrature
+    element of the identity generator, shape (L, 4, L, 4)."""
+    return matrix_elements(GeneratorId.IDENTITY, levels, p)
 
 
 class TestSpinors:
     def test_unit_norm_all_labels(self):
         p = PhysicalParams(M=1.0, kz=0.5, eB=1.0)
-        gram = _overlap_matrix(4, p)
-        for r, nu in LABELS:
-            lv = LevelIndex(3, r, nu)
-            assert _element(gram, lv, lv, p) == pytest.approx(1.0, abs=1e-12)
+        gram = _overlaps([3], p)[0, :, 0, :]
+        assert np.diag(gram) == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_label_orthogonality_same_level(self):
         p = PhysicalParams(M=1.0, kz=0.5, eB=1.0)
-        gram = _overlap_matrix(4, p)
-        labels = [LevelIndex(3, r, nu) for r, nu in LABELS]
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
-                assert abs(_element(gram, a, b, p)) < 1e-12
+        gram = _overlaps([3], p)[0, :, 0, :]
+        assert np.abs(gram[np.triu_indices(4, 1)]).max() < 1e-12
 
     def test_cross_level_orthogonality(self):
+        # every label pair of every n != m pair of levels 1..60
         p = PhysicalParams(M=0.7, kz=1.3, eB=1.2)
-        gram = _overlap_matrix(61, p)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            n, m = rng.integers(1, 61, size=2)
-            if n == m:
-                continue
-            a = LevelIndex(int(n), int(rng.integers(1, 3)), "+-"[rng.integers(0, 2)])
-            b = LevelIndex(int(m), int(rng.integers(1, 3)), "+-"[rng.integers(0, 2)])
-            # same-label orthogonality needs |n-m|>=1 with matching spin content;
-            # the basis is orthonormal for every pair
-            assert abs(_element(gram, a, b, p)) < 1e-10
+        levels = np.arange(1, 61)
+        gram = _overlaps(levels, p).transpose(0, 2, 1, 3)  # [n, m, a, b]
+        assert np.abs(gram[levels[:, None] != levels[None, :]]).max() < 1e-10
 
     def test_heavy_mass_limit_components(self):
         p = PhysicalParams(M=1e4, kz=0.0, eB=1.0)

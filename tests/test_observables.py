@@ -9,13 +9,13 @@ from scipy.signal import hilbert
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
 from dirac_revivals.evolution import (TimeSeries, autocorrelation_series, kz_for_ab_ratio,
                                       survival_amplitude, survival_series, time_scales)
-from dirac_revivals.landau import LevelIndex, PhysicalParams, energy, one_particle_params
+from dirac_revivals.landau import LABELS, LevelIndex, PhysicalParams, energy, one_particle_params
 from dirac_revivals.numerics import find_peaks
 from dirac_revivals.observables import (_LABELS, GeneratorId, _level_tables, closed_form_series,
                                         concurrence_sq, correlation_series,
                                         expectation_series, expectation_values,
                                         generator_matrix, matrix_element,
-                                        mutual_information)
+                                        matrix_elements, mutual_information)
 
 MASSLESS = PhysicalParams()
 ALL_GENERATORS = list(GeneratorId)
@@ -68,14 +68,23 @@ class TestMatrixElements:
 
     def test_diagonal_generators_block_all_cross_levels(self):
         p = PhysicalParams(M=1.0, kz=0.7, eB=1.0)
-        labels = [(1, "+"), (1, "-"), (2, "+"), (2, "-")]
+        pairs = [(n, m) for n in (1, 2, 5) for m in (n + 1, n + 2, n + 5)]
+        levels = sorted({k for pair in pairs for k in pair})
+        rows = [levels.index(n) for n, _ in pairs]
+        cols = [levels.index(m) for _, m in pairs]
         for g in DIAGONAL_GENERATORS:
-            for n in (1, 2, 5):
-                for m in (n + 1, n + 2, n + 5):
-                    for la in labels:
-                        for lb in labels:
-                            el = matrix_element(g, LevelIndex(n, *la), LevelIndex(m, *lb), p)
-                            assert abs(el) < 1e-10
+            el = matrix_elements(g, levels, p)  # every label pair of each level pair
+            assert np.abs(el[rows, :, cols, :]).max() < 1e-10
+
+    def test_scalar_element_is_the_batched_entry(self):
+        p = PhysicalParams(M=0.8, kz=-0.4, eB=1.3)
+        for g in ALL_GENERATORS:
+            for n, m in ((2, 5), (5, 2), (4, 4)):
+                el = matrix_elements(g, [n, m], p)
+                for a, la in enumerate(LABELS):
+                    for b, lb in enumerate(LABELS):
+                        assert matrix_element(g, LevelIndex(n, *la), LevelIndex(m, *lb), p) \
+                            == el[0, a, 1, b]
 
     def test_same_parity_selection_all_generators(self):
         # within one parity class every constant generator blocks n != m
@@ -85,18 +94,23 @@ class TestMatrixElements:
                 el = matrix_element(g, LevelIndex(n, 1, "+"), LevelIndex(m, 2, "-"), p)
                 assert abs(el) < 1e-10
 
+    @pytest.mark.parametrize("levels", ([0, 3], [], [[1, 2]]))
+    def test_batched_levels_validated(self, levels):
+        # level 0 would index Hermite order -1, which numpy wraps silently
+        with pytest.raises(ValueError, match="levels must be"):
+            matrix_elements(GeneratorId.GAMMA0, levels, MASSLESS)
+
     @pytest.mark.parametrize("symmetry", ["S", "A"])
     def test_engine_tables_match_quadrature(self, symmetry):
         # the engine reads its per-level bilinears off orthonormality; the
         # quadrature route must give the same 3x3 table for every generator
         p = PhysicalParams(M=1.0, kz=0.7, eB=1.0)
         exp = expand(CatSpec(symmetry, 5.0, p))
+        k = np.arange(6)
+        lab = [LABELS.index(la) for la in _LABELS]
         for g in ALL_GENERATORS:
-            for tbl, n in zip(_level_tables(exp, g), exp.levels[:6]):
-                for i, la in enumerate(_LABELS):
-                    for j, lb in enumerate(_LABELS):
-                        el = matrix_element(g, LevelIndex(int(n), *la), LevelIndex(int(n), *lb), p)
-                        assert abs(tbl[i, j] - el) < 1e-12
+            el = matrix_elements(g, exp.levels[:6], p)[k, :, k, :]  # same-level blocks
+            assert np.abs(_level_tables(exp, g)[:6] - el[:, lab][:, :, lab]).max() < 1e-12
 
     def test_alpha_x_adjacent_level_structure(self):
         # alpha_x does connect adjacent (parity-breaking) levels; the cat
@@ -280,6 +294,9 @@ GRID_FUNCTIONS = {
     (1.0, 0.5, 11, "t1 must exceed t0"),
     (1.0, 1.0, 11, "t1 must exceed t0"),
     (0.0, 1.0, 1, "need at least 2 samples"),
+    (0.0, math.inf, 11, "grid bounds must be finite"),
+    (math.nan, 1.0, 11, "grid bounds must be finite"),
+    (-1e308, 1e308, 11, "grid bounds must be finite"),
 ])
 def test_uniform_grid_validation(fig7, name, t0, t1, samples, message):
     with pytest.raises(ValueError, match=message):
