@@ -21,11 +21,11 @@ from . import dataio
 from .catstate import (CatSpec, LevelFit, expand, expand_oracle, gaussian_fit,
                        oracle_raw_overlaps, spectral_function)
 from .density import density_grid
-from .evolution import (autocorrelation_series, kz_for_ab_ratio, survival_series,
-                        time_scales)
+from .evolution import (_uniform_grid, autocorrelation_series, kz_for_ab_ratio,
+                        survival_series, time_scales)
 from .landau import PhysicalParams
 from .observables import (_CORRELATION_GENERATORS, GeneratorId, _concurrence_sq_formula,
-                          _mutual_information_formula, expectation_series, matrix_elements)
+                          _mutual_information_formula, expectation_values, matrix_elements)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -299,10 +299,11 @@ def cmd_observables(cfg: dict) -> int:
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
     tmin, tmax = _window(cfg, spec, exp, fit, 1.0, "T2")
-    samples = cfg["samples"]
-    ts = np.linspace(tmin, tmax, samples)
-    columns = {g.value: expectation_series(exp, g, tmin, tmax, samples).series.values
-               for g in _EXPORTED_GENERATORS}
+    ts, _ = _uniform_grid(tmin, tmax, cfg["samples"])
+    rows = expectation_values(exp, _EXPORTED_GENERATORS, ts)
+    if not np.isfinite(rows).all():  # 2 E t overflows for bounds like --tmax 1e308
+        raise ValueError("series values must be finite")
+    columns = {g.value: row for g, row in zip(_EXPORTED_GENERATORS, rows)}
     # the correlation quantifiers' inputs are all exported columns
     g0, sz, g5gz, igz, az = (columns[g.value] for g in _CORRELATION_GENERATORS)
     columns["concurrence_sq"] = _concurrence_sq_formula(g0, sz)

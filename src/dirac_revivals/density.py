@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatExpansion
-from .evolution import _uniform_grid, evolve_profile
-from .numerics import hermite_table
+from .evolution import _level_rows, _profile_step, _uniform_grid
 
 __all__ = ["SpatialGrid2D", "probability_density", "density_closed_form", "density_grid"]
 
@@ -56,10 +55,15 @@ class SpatialGrid2D:
         return np.trapezoid(self.values, dx=ds, axis=1) / math.sqrt(self.eB)
 
 
+def _density_row(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray, t: float) -> np.ndarray:
+    """psi^dagger psi at time t on the grid of the level rows F_lo, F_hi."""
+    comps = _profile_step(exp, F_lo, F_hi, t)
+    return np.einsum("cs,cs->s", comps.conj(), comps).real
+
+
 def probability_density(exp: CatExpansion, s, t: float):
     """psi^dagger psi at (s, t); integrates to 1 over ds/sqrt(eB)."""
-    comps = evolve_profile(exp, s, t)
-    dens = np.einsum("cs,cs->s", comps.conj(), comps).real
+    dens = _density_row(exp, *_level_rows(exp, s), t)
     return dens if np.ndim(s) else float(dens[0])
 
 
@@ -73,14 +77,10 @@ def density_closed_form(exp: CatExpansion, s, t: float):
     re-deriving the state.
     """
     scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    levels = exp.levels
     A, B, eta = exp.A, exp.B, exp.eta
     E = exp.energies
     rootP = np.sqrt(exp.level_weights)
-    table = hermite_table(int(levels.max()), s, exp.spec.params.scale)
-    F_lo = table[levels - 1]
-    F_hi = table[levels]
+    F_lo, F_hi = _level_rows(exp, s)
 
     ct = np.cos(E * t)
     st = np.sin(E * t)
@@ -98,12 +98,13 @@ def density_closed_form(exp: CatExpansion, s, t: float):
 
 def density_grid(exp: CatExpansion, s_min: float, s_max: float, ns: int,
                  t_min: float, t_max: float, nt: int) -> SpatialGrid2D:
-    """Fill an (s, t) rectangle with probability_density, row by row."""
+    """Fill an (s, t) rectangle with probability_density rows from one Hermite table."""
     s, _ = _uniform_grid(s_min, s_max, ns)
     ts, _ = _uniform_grid(t_min, t_max, nt)
+    F_lo, F_hi = _level_rows(exp, s)
     values = np.empty((nt, ns))
     for i, t in enumerate(ts):
-        values[i] = probability_density(exp, s, float(t))
+        values[i] = _density_row(exp, F_lo, F_hi, float(t))
     return SpatialGrid2D(s_min=s_min, s_max=s_max, ns=ns,
                          t_min=t_min, t_max=t_max, nt=nt, values=values,
                          eB=exp.spec.params.eB)

@@ -100,22 +100,27 @@ def _uniform_grid(t0: float, t1: float, samples: int) -> tuple[np.ndarray, float
     return np.linspace(t0, t1, samples), (t1 - t0) / (samples - 1)
 
 
+_CHUNK = 4096  # time samples per block of survival_amplitude's (T, L) phase matrix
+
+
 def survival_amplitude(exp: CatExpansion, t):
     """C(t) = <phi(0)|phi(t)> = sum_+ |c|^2 e^{-iEt} + sum_- |c|^2 e^{+iEt}.
 
-    Accepts a scalar or an array of times.  |C| <= 1 + 4 eps: the weights
-    sum to 1 only to rounding, and C is not renormalized (the largest
-    excess measured over a in [1, 40], M in [0, 5], |kz| <= 1 is 2 eps).
-    Summation runs in fixed ascending-level order (numpy pairwise), so the
-    result is bit-stable regardless of how callers chunk the time axis.
+    Accepts a scalar or an array of times of any shape.  |C| <= 1 + 4 eps:
+    the weights sum to 1 only to rounding, and C is not renormalized (the
+    largest excess measured over a in [1, 40], M in [0, 5], |kz| <= 1 is
+    2 eps).  Times run in blocks of _CHUNK; each is summed in fixed
+    ascending-level order (numpy pairwise), bit-stable under any chunking.
     """
     w_pos, w_neg = exp.weight_positive, exp.weight_negative
-    t_arr = np.asarray(t, dtype=float)
-    phase = np.exp(-1j * np.multiply.outer(t_arr, exp.energies))
-    # explicit pairwise sum along the fixed ascending-level axis: bit-stable
-    # under any chunking of the time grid (matmul would re-block)
-    out = (phase * w_pos).sum(axis=-1) + (np.conj(phase) * w_neg).sum(axis=-1)
-    return out if out.ndim else complex(out)
+    flat = np.asarray(t, dtype=float).reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    for i in range(0, flat.size, _CHUNK):
+        phase = np.exp(-1j * np.multiply.outer(flat[i:i + _CHUNK], exp.energies))
+        # explicit pairwise sum along the fixed ascending-level axis: bit-stable
+        # under any chunking of the time grid (matmul would re-block)
+        out[i:i + _CHUNK] = (phase * w_pos).sum(axis=-1) + (np.conj(phase) * w_neg).sum(axis=-1)
+    return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 
 def survival_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> TimeSeries:
@@ -130,6 +135,28 @@ def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int
     return TimeSeries(t0=t0, dt=dt, values=survival_amplitude(exp, ts))
 
 
+def _level_rows(exp: CatExpansion, s) -> tuple[np.ndarray, np.ndarray]:
+    """(F_{n-1}, F_n) of every kept level n on the grid s: one Hermite table."""
+    table = hermite_table(int(exp.levels.max()), np.atleast_1d(s), exp.spec.params.scale)
+    return table[exp.levels - 1], table[exp.levels]
+
+
+def _profile_step(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray, t: float) -> np.ndarray:
+    """The four spinor components at time t from the rows of _level_rows."""
+    A, B, se = exp.A, exp.B, np.sqrt(exp.eta)
+    ph_pos = np.exp(-1j * exp.energies * t)   # r=1 branch, energy +E
+    ph_neg = np.conj(ph_pos)                  # r=2 branch, energy -E
+    w1 = exp.c_r1_plus * ph_pos
+    w2 = exp.c_r2_plus * ph_neg
+    w3 = exp.c_r2_minus * ph_neg
+    out = np.empty((4, F_lo.shape[1]), dtype=complex)
+    out[0] = (se * (w1 + B * w2 - A * w3)) @ F_lo
+    out[1] = (se * (A * w2 + B * w3)) @ F_hi
+    out[2] = (se * (A * w1 + w3)) @ F_lo
+    out[3] = (se * (-B * w1 + w2)) @ F_hi
+    return out
+
+
 def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
     """Spinor components of the evolved state on a grid; shape (4, len(s)).
 
@@ -137,21 +164,4 @@ def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
     summing basis spinors one by one; at t = 0 this reproduces the
     normalized two-Gaussian profile on the first component.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    levels = exp.levels
-    A, B, eta = exp.A, exp.B, exp.eta
-    se = np.sqrt(eta)
-    table = hermite_table(int(levels.max()), s, exp.spec.params.scale)
-    F_lo = table[levels - 1]
-    F_hi = table[levels]
-    ph_pos = np.exp(-1j * exp.energies * t)   # r=1 branch, energy +E
-    ph_neg = np.conj(ph_pos)                  # r=2 branch, energy -E
-    w1 = exp.c_r1_plus * ph_pos
-    w2 = exp.c_r2_plus * ph_neg
-    w3 = exp.c_r2_minus * ph_neg
-    out = np.empty((4, s.size), dtype=complex)
-    out[0] = (se * (w1 + B * w2 - A * w3)) @ F_lo
-    out[1] = (se * (A * w2 + B * w3)) @ F_hi
-    out[2] = (se * (A * w1 + w3)) @ F_lo
-    out[3] = (se * (-B * w1 + w2)) @ F_hi
-    return out
+    return _profile_step(exp, *_level_rows(exp, s), t)

@@ -26,12 +26,12 @@ __all__ = [
     "one_particle_params",
     "energy_derivatives",
     "spinor",
-    "spinor_component_table",
     "product_rule",
 ]
 
 # the (r, nu) labels of one level, in the column order of every oracle array
 LABELS = ((1, "+"), (1, "-"), (2, "+"), (2, "-"))
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -146,21 +146,10 @@ def _component_table(labels, n, p: PhysicalParams):
     return coef, np.array([rows[lab][1] for lab in labels])
 
 
-def spinor_component_table(level: LevelIndex, p: PhysicalParams):
-    """Coefficients and Hermite orders of the four spinor components.
-
-    Returns (coef, order): component j of u is coef[j] * F_{order[j]}(s).
-    The table transcribes the eigenspinors; every nonzero entry sits on
-    F_{n-1} or F_n, which is what drives the n = m selection rules.
-    """
-    coef, offset = _component_table([(level.r, level.nu)], level.n, p)
-    return coef[0], level.n - 1 + offset[0]
-
-
 def spinor(level: LevelIndex, s: float, p: PhysicalParams) -> np.ndarray:
     """Four real components of u^nu_{n,r}(s); unit norm under ds/sqrt(eB)."""
-    coef, order = spinor_component_table(level, p)
-    return coef * hermite_table(level.n, [float(s)], p.scale)[order, 0]
+    coef, offset = _component_table([(level.r, level.nu)], level.n, p)
+    return coef[0] * hermite_table(level.n, [float(s)], p.scale)[level.n - 1 + offset[0], 0]
 
 
 def product_rule(n_max: int, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,8 +159,19 @@ def product_rule(n_max: int, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray,
     nodes; integrals over the physical measure ds/sqrt(eB) of F_i*F_j become
     sum w * P[i] * P[j] (the (eB)^(1/2) amplitude cancels the measure).
     Order n_max+16 keeps every weight positive and the rule exact through
-    degree 2*n_max+31.
+    degree 2*n_max+31.  Past the largest n_max whose rule has only normal
+    weights the sums lose digits silently, so that refuses with ValueError.
     """
-    rule = gauss_hermite(n_max + 16)
+    k = n_max + 16
+    rule = gauss_hermite(k)
+    if rule.weights.min() < _TINY:
+        # the smallest weight falls as k grows: bisect for the last rule
+        # whose weights are all normal doubles
+        lo, hi = 1, k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if gauss_hermite(mid).weights.min() >= _TINY else (lo, mid)
+        raise ValueError(f"n_max={n_max} exceeds the quadrature limit n_max <= {lo - 16}: "
+                         f"the {k}-point Gauss-Hermite rule has subnormal weights")
     P = hermite_poly_table(n_max, rule.nodes)
     return rule.nodes, rule.weights, P

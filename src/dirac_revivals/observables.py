@@ -168,13 +168,19 @@ def _series_coefficients(exp: CatExpansion, g: GeneratorId):
     return stat, cosc, sinc
 
 
-def expectation_values(exp: CatExpansion, g: GeneratorId, t) -> np.ndarray:
-    """<Gamma>(t) from the direct bilinear engine; t scalar or array."""
-    stat, cosc, sinc = _series_coefficients(exp, g)
+def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
+    """<Gamma>(t) from the direct bilinear engine; t scalar or array.
+
+    A sequence of generators g gives stacked rows on one cos/sin(2Et) basis.
+    """
+    single = isinstance(g, GeneratorId)
+    coefficients = [_series_coefficients(exp, gi) for gi in ((g,) if single else g)]
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     phase = 2.0 * np.multiply.outer(t_arr, exp.energies)
-    vals = stat.sum() + np.cos(phase) @ cosc + np.sin(phase) @ sinc
-    return vals if np.ndim(t) else float(vals[0])
+    cos, sin = np.cos(phase), np.sin(phase, out=phase)
+    vals = np.stack([stat.sum() + cos @ cosc + sin @ sinc for stat, cosc, sinc in coefficients])
+    vals = vals[0] if single else vals
+    return vals if np.ndim(t) else (float(vals[0]) if single else vals[:, 0])
 
 
 def expectation_series(exp: CatExpansion, g: GeneratorId, t0: float, t1: float,
@@ -247,11 +253,6 @@ _CORRELATION_GENERATORS = (
 )
 
 
-def _five_observables(exp: CatExpansion, t_arr: np.ndarray):
-    """(gamma0, Sigma_z, gamma5_gamma_z, i_gamma_z, alpha_z) via the engine."""
-    return tuple(expectation_values(exp, g, t_arr) for g in _CORRELATION_GENERATORS)
-
-
 def _concurrence_sq_formula(g0, sz):
     return 0.5 * (1.0 + g0) * (1.0 - sz)
 
@@ -267,8 +268,8 @@ def concurrence_sq(exp: CatExpansion, t):
     Zero at t = 0 (spin-parity product state) and bounded by [0, 1].
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = _concurrence_sq_formula(expectation_values(exp, GeneratorId.GAMMA0, t_arr),
-                                   expectation_values(exp, GeneratorId.GAMMA5_ALPHA_Z, t_arr))
+    vals = _concurrence_sq_formula(
+        *expectation_values(exp, (GeneratorId.GAMMA0, GeneratorId.GAMMA5_ALPHA_Z), t_arr))
     return vals if np.ndim(t) else float(vals[0])
 
 
@@ -281,14 +282,14 @@ def mutual_information(exp: CatExpansion, t):
     product state.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = _mutual_information_formula(*_five_observables(exp, t_arr))
+    vals = _mutual_information_formula(*expectation_values(exp, _CORRELATION_GENERATORS, t_arr))
     return vals if np.ndim(t) else float(vals[0])
 
 
 def correlation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> dict[str, TimeSeries]:
     """Concurrence^2 and mutual information on one shared grid."""
     ts, dt = _uniform_grid(t0, t1, samples)
-    g0, sz, g5gz, igz, az = _five_observables(exp, ts)
+    g0, sz, g5gz, igz, az = expectation_values(exp, _CORRELATION_GENERATORS, ts)
     return {
         "concurrence_sq": TimeSeries(t0=t0, dt=dt, values=_concurrence_sq_formula(g0, sz)),
         "mutual_information": TimeSeries(

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dirac_revivals import observables
+from dirac_revivals import cli, observables
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
 from dirac_revivals.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                                 _EXPORTED_GENERATORS, _KZ_RTOL, main)
@@ -204,15 +204,17 @@ class TestObservables:
         engine = observables.expectation_values
 
         def counted(exp, g, t):
-            calls.append(g)
+            calls.append(g if isinstance(g, observables.GeneratorId) else tuple(g))
             return engine(exp, g, t)
 
         monkeypatch.setattr(observables, "expectation_values", counted)
+        monkeypatch.setattr(cli, "expectation_values", counted)
         out = tmp_path / "o.csv"
         assert main(["observables", "--a", "5", "--symmetry", symmetry, "--tmin", "1",
                      "--tmax", "60", "--samples", "300", "--out", str(out)]) == EXIT_OK
-        # concurrence^2 and mutual information reuse the exported columns
-        assert calls == list(_EXPORTED_GENERATORS)
+        # one engine call for all six columns; concurrence^2 and mutual
+        # information reuse the exported columns
+        assert calls == [tuple(_EXPORTED_GENERATORS)]
         monkeypatch.undo()
         header, rows = read_csv(out)
         columns = dict(zip(header, rows.T))
@@ -310,6 +312,17 @@ def test_non_finite_bound_is_config_error(tmp_path, capsys, argv, key):
         warnings.simplefilter("error")
         assert main(argv + ["--a", "3", "--out", str(out)]) == EXIT_CONFIG
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_observable_phase_is_config_error(tmp_path, capsys):
+    # a finite --tmax whose phase 2 E t overflows gives no finite column
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["observables", "--a", "3", "--tmax", "1e308", "--samples", "5",
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert "series values must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

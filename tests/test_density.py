@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dirac_revivals import evolution
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profile
 from dirac_revivals.density import density_closed_form, density_grid, probability_density
 from dirac_revivals.evolution import TimeSeries, kz_for_ab_ratio, time_scales
@@ -132,6 +133,22 @@ class TestGrid:
         spacing = np.diff([p[0] for p in peaks])
         assert spacing.size >= 3
         assert float(np.median(spacing)) == pytest.approx(sc.T1 / 2.0, rel=0.15)
+
+    def test_one_hermite_table_per_grid(self, fig6, monkeypatch):
+        exp, sc = fig6
+        calls = []
+        table = evolution.hermite_table
+
+        def counted(n_max, s, scale=None):
+            calls.append(n_max)
+            return table(n_max, s, scale)
+
+        monkeypatch.setattr(evolution, "hermite_table", counted)
+        grid = density_grid(exp, -11.0, 11.0, 301, 0.0, sc.T1, 7)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for row, t in zip(grid.values, grid.t):
+            assert np.array_equal(row, probability_density(exp, grid.s, float(t)))
 
     def test_grid_validation(self, fig6):
         exp, _ = fig6

@@ -1,6 +1,7 @@
 """Time evolution: survival amplitude, revival structure, time scales."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profile
-from dirac_revivals.evolution import (TimeSeries, autocorrelation_series,
+from dirac_revivals.evolution import (_CHUNK, TimeSeries, autocorrelation_series,
                                       evolve_profile, kz_for_ab_ratio,
                                       survival_amplitude, survival_series, time_scales)
 from dirac_revivals.landau import PhysicalParams, one_particle_params
@@ -120,10 +121,30 @@ class TestSurvivalSeries:
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_against_chunking(self, cat5):
-        full = survival_series(cat5, 0.0, 30.0, 301).values
-        # same grid points evaluated one by one must be bit-identical
-        single = np.array([abs(survival_amplitude(cat5, t)) for t in np.linspace(0.0, 30.0, 301)])
-        assert np.array_equal(full, single)
+        # same grid points evaluated one by one must be bit-identical, also
+        # on a grid that crosses the internal block boundaries
+        for samples in (301, 2 * _CHUNK + 1):
+            ts = np.linspace(0.0, 30.0, samples)
+            full = survival_series(cat5, 0.0, 30.0, samples).values
+            single = np.array([abs(survival_amplitude(cat5, t)) for t in ts])
+            assert np.array_equal(full, single)
+        # any array shape: each row of a 2-D time array gives the same bits
+        block = survival_amplitude(cat5, np.stack([ts, ts]))
+        assert block.shape == (2, samples)
+        assert np.array_equal(np.abs(block[0]), full) and np.array_equal(np.abs(block[1]), full)
+
+    def test_memory_bounded_by_the_block(self):
+        # a = 20 (155 levels) over 120,001 times: the whole (T, L) phase
+        # matrix and its temporaries would take about 850 MB
+        exp = expand(CatSpec("S", 20.0, MASSLESS))
+        ts = np.linspace(0.0, 2000.0, 120001)
+        tracemalloc.start()
+        try:
+            survival_amplitude(exp, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_complex_series_matches_magnitude(self, cat5):
         za = autocorrelation_series(cat5, 0.0, 10.0, 101)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_revivals.landau import (LevelIndex, PhysicalParams, energy,
-                                   energy_derivatives, one_particle_params,
-                                   spinor, spinor_component_table)
+from dirac_revivals.landau import (LevelIndex, PhysicalParams, _component_table, energy,
+                                   energy_derivatives, one_particle_params, spinor)
 from dirac_revivals.observables import GeneratorId, matrix_elements
 
 
@@ -99,10 +98,11 @@ class TestSpinors:
         p = PhysicalParams(M=0.3, kz=-0.8, eB=2.0)
         from dirac_revivals.numerics import hermite_fn
         lv = LevelIndex(4, 2, "-")
-        coef, order = spinor_component_table(lv, p)
+        coef, offset = _component_table([(lv.r, lv.nu)], lv.n, p)
         u = spinor(lv, 0.9, p)
         for i in range(4):
-            assert u[i] == pytest.approx(coef[i] * hermite_fn(int(order[i]), 0.9, p.scale), abs=1e-14)
+            order = lv.n - 1 + int(offset[0, i])
+            assert u[i] == pytest.approx(coef[0, i] * hermite_fn(order, 0.9, p.scale), abs=1e-14)
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):

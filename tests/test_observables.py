@@ -112,6 +112,17 @@ class TestMatrixElements:
             el = matrix_elements(g, exp.levels[:6], p)[k, :, k, :]  # same-level blocks
             assert np.abs(_level_tables(exp, g)[:6] - el[:, lab][:, :, lab]).max() < 1e-12
 
+    def test_unit_norm_at_the_quadrature_limit(self):
+        # n_max = 354 takes the 370-point rule, the last whose weights are
+        # all normal doubles
+        el = matrix_elements(GeneratorId.IDENTITY, [353, 354], MASSLESS)
+        assert np.abs(np.einsum("kaka->ka", el) - 1.0).max() < 1e-10
+
+    def test_refuses_past_the_quadrature_limit(self):
+        # subnormal weights would give <u|u> = 0.81 here
+        with pytest.raises(ValueError, match="n_max <= 354"):
+            matrix_elements(GeneratorId.IDENTITY, [399, 400], MASSLESS)
+
     def test_alpha_x_adjacent_level_structure(self):
         # alpha_x does connect adjacent (parity-breaking) levels; the cat
         # states never populate those pairs
@@ -174,6 +185,16 @@ class TestExpectationSeries:
         ts = np.linspace(0.0, sc.T1, 300)
         for g in VANISHING_GENERATORS:
             assert np.abs(expectation_values(exp, g, ts)).max() < 1e-10
+
+    def test_generator_sequence_is_stacked_single_calls(self, fig7):
+        exp, sc = fig7
+        ts = np.linspace(0.0, sc.T2, 5001)
+        rows = expectation_values(exp, ALL_GENERATORS, ts)
+        assert rows.shape == (len(ALL_GENERATORS), ts.size)
+        for g, row in zip(ALL_GENERATORS, rows):
+            assert np.array_equal(row, expectation_values(exp, g, ts))
+        at_t = expectation_values(exp, ALL_GENERATORS, 3.0)
+        assert np.array_equal(at_t, [expectation_values(exp, g, 3.0) for g in ALL_GENERATORS])
 
     def test_series_wrapper(self, fig7):
         exp, _ = fig7
