@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .landau import LABELS, PhysicalParams, _component_table, _params_arrays
-from .numerics import gauss_hermite, hermite_poly_table
+from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
     "CatSpec",
@@ -199,27 +198,18 @@ def oracle_raw_overlaps(spec: CatSpec, n_max: int) -> tuple[np.ndarray, np.ndarr
     (wrong parity, (r=1,nu=-)), so the selection rules can be checked
     directly.  Each Gaussian hump is integrated with its own shifted
     Gauss-Hermite rule (complete the square at s = +-a/2), which is
-    polynomial-exact; every intermediate stays finite while
-    sqrt(2k + 1) + a/2 <= 37.5 for the k-node rule, k = n_max // 2 + 24.
+    polynomial-exact with k = n_max // 2 + 24 nodes.  Its Christoffel numbers
+    lam, F_m(x +- a/2) and the envelope exp(-(x -+ a/2)^2/2) each stay inside
+    the double range, so the sums hold for any separation.
     """
     a = spec.a
     sgn = 1.0 if spec.symmetry == "S" else -1.0
-    k = n_max // 2 + 24
-    reach = math.sqrt(2.0 * k + 1.0) + 0.5 * a
-    if reach > 37.5:
-        # the envelope-free Hermite parts grow like exp(s^2/2); past this
-        # point they leave the double-precision range at the outer nodes
-        raise ValueError(f"separation a={a} with n_max={n_max} exceeds the "
-                         "finite-precision envelope of the overlap oracle: "
-                         f"sqrt(2k + 1) + a/2 = {reach:.6g} > 37.5 with k = {k} nodes")
-    rule = gauss_hermite(k)
-    x, wq = rule.nodes, rule.weights
+    x, lam = _christoffel_rule(n_max // 2 + 24)
     # integral of exp(-(s -+ a)^2/2) F_m(s) ds/sqrt(eB) over each hump;
     # the (eB)^(1/4) amplitudes of profile and F_m cancel the measure
-    P_plus = hermite_poly_table(n_max, x + 0.5 * a)
-    P_minus = hermite_poly_table(n_max, x - 0.5 * a)
-    amp = 0.5 * math.pi ** -0.25 * math.exp(-0.25 * a * a)
-    overlap_first = amp * ((P_plus @ wq) + sgn * (P_minus @ wq))  # index m = 0..n_max
+    plus = hermite_table(n_max, x + 0.5 * a) @ (lam * np.exp(-0.5 * (x - 0.5 * a) ** 2))
+    minus = hermite_table(n_max, x - 0.5 * a) @ (lam * np.exp(-0.5 * (x + 0.5 * a) ** 2))
+    overlap_first = 0.5 * math.pi ** -0.25 * (plus + sgn * minus)  # index m = 0..n_max
 
     levels = np.arange(1, n_max + 1)
     # only the first spinor component meets the initial state; it sits on
@@ -284,12 +274,27 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
     mean = float((m * y).sum())
     width = math.sqrt(max(2.0 * float((((m - mean) ** 2) * y).sum()), 1e-12))
 
-    def resid(q):
-        n0, dn = q
-        return 2.0 / (dn * math.sqrt(math.pi)) * np.exp(-(((m - n0) / dn) ** 2)) - y
+    def model(q):  # residuals and their Jacobian in (n0, dn)
+        u = (m - q[0]) / q[1]
+        g = 2.0 / (q[1] * math.sqrt(math.pi)) * np.exp(-u * u)
+        return g - y, np.stack([g * 2.0 * u / q[1], g * (2.0 * u * u - 1.0) / q[1]], axis=1)
 
-    sol = least_squares(resid, x0=[mean, width], method="lm")
-    n0, dn = float(sol.x[0]), abs(float(sol.x[1]))
+    # Levenberg-Marquardt with Marquardt's diagonal scaling (More, LNM 630,
+    # 1978): a step is taken only if it lowers the cost, and the loop stops
+    # on a relative step of 1e-13 or after 200 trial steps
+    q, mu = np.array([mean, width]), 1e-3
+    r, J = model(q)
+    for _ in range(200):
+        JtJ = J.T @ J
+        step = np.linalg.solve(JtJ + mu * np.diag(np.diag(JtJ)), -(J.T @ r))
+        r_new, J_new = model(q + step)
+        if r_new @ r_new < r @ r:
+            q, r, J, mu = q + step, r_new, J_new, 0.1 * mu
+        else:
+            mu *= 10.0
+        if np.abs(step).max() <= 1e-13 * np.abs(q).max():
+            break
+    n0, dn = float(q[0]), abs(float(q[1]))
     if n0 <= 0.0:
         raise ValueError("degenerate fit: nonpositive center")
-    return LevelFit(n0=n0, delta_n=dn, residual=float(np.sqrt(np.mean(sol.fun ** 2))))
+    return LevelFit(n0=n0, delta_n=dn, residual=float(np.sqrt(np.mean(r ** 2))))

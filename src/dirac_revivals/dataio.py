@@ -53,6 +53,10 @@ def _text_out(path: str) -> Iterator[TextIO]:
         yield fh
 
 
+def _write_header(fh: TextIO, header: Sequence[str]) -> None:
+    fh.write(f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n")
+
+
 def _write_table(path: str, header: Sequence[str], columns: Sequence[list[str]]) -> None:
     """Schema line, header row, then row k joins cell k of every column."""
     rows = len(columns[0])
@@ -61,7 +65,7 @@ def _write_table(path: str, header: Sequence[str], columns: Sequence[list[str]])
             raise ValueError(f"column {name!r} has {len(col)} values, "
                              f"column {header[0]!r} has {rows}")
     with _text_out(path) as fh:
-        fh.write(f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n")
+        _write_header(fh, header)
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
@@ -90,10 +94,15 @@ def write_columns_csv(path: str, t: np.ndarray, columns: dict[str, np.ndarray]) 
 
 
 def write_grid_csv(path: str, grid: SpatialGrid2D) -> None:
-    """(s, t, value) triples, t-major then s."""
-    t = [cell for cell in _cells(grid.t) for _ in range(grid.ns)]
-    _write_table(path, ("s", "t", "value"),
-                 (_cells(grid.s) * grid.nt, t, _cells(grid.values.ravel())))
+    """(s, t, value) triples, t-major then s, streamed one t at a time."""
+    if grid.values.shape != (grid.nt, grid.ns):
+        raise ValueError(f"grid values have shape {grid.values.shape}, "
+                         f"expected (nt, ns) = ({grid.nt}, {grid.ns})")
+    s = _cells(grid.s)
+    with _text_out(path) as fh:
+        _write_header(fh, ("s", "t", "value"))
+        for t, row in zip(_cells(grid.t), grid.values):
+            fh.writelines(f"{x},{t},{v}\n" for x, v in zip(s, _cells(row)))
 
 
 def write_grid_json(path: str, grid: SpatialGrid2D) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HermiteScale, gauss_hermite, hermite_poly_table, hermite_table
+from .numerics import HermiteScale, hermite_table
 
 __all__ = [
     "LABELS",
@@ -26,12 +26,10 @@ __all__ = [
     "one_particle_params",
     "energy_derivatives",
     "spinor",
-    "product_rule",
 ]
 
 # the (r, nu) labels of one level, in the column order of every oracle array
 LABELS = ((1, "+"), (1, "-"), (2, "+"), (2, "-"))
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -150,28 +148,3 @@ def spinor(level: LevelIndex, s: float, p: PhysicalParams) -> np.ndarray:
     """Four real components of u^nu_{n,r}(s); unit norm under ds/sqrt(eB)."""
     coef, offset = _component_table([(level.r, level.nu)], level.n, p)
     return coef[0] * hermite_table(level.n, [float(s)], p.scale)[level.n - 1 + offset[0], 0]
-
-
-def product_rule(n_max: int, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature ingredients for integrals of F_i * F_j products, i,j <= n_max.
-
-    Returns (x, w, P) where P[k] are the envelope-free Hermite parts at the
-    nodes; integrals over the physical measure ds/sqrt(eB) of F_i*F_j become
-    sum w * P[i] * P[j] (the (eB)^(1/2) amplitude cancels the measure).
-    Order n_max+16 keeps every weight positive and the rule exact through
-    degree 2*n_max+31.  Past the largest n_max whose rule has only normal
-    weights the sums lose digits silently, so that refuses with ValueError.
-    """
-    k = n_max + 16
-    rule = gauss_hermite(k)
-    if rule.weights.min() < _TINY:
-        # the smallest weight falls as k grows: bisect for the last rule
-        # whose weights are all normal doubles
-        lo, hi = 1, k
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if gauss_hermite(mid).weights.min() >= _TINY else (lo, mid)
-        raise ValueError(f"n_max={n_max} exceeds the quadrature limit n_max <= {lo - 16}: "
-                         f"the {k}-point Gauss-Hermite rule has subnormal weights")
-    P = hermite_poly_table(n_max, rule.nodes)
-    return rule.nodes, rule.weights, P

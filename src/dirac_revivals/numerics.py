@@ -8,9 +8,11 @@ evaluated by one three-term recurrence on the normalized functions
 themselves (never on raw H_n or n!).  It carries a binary exponent per
 column, so every value that fits a double comes out right, also where the
 envelope exp(-s^2/2) alone underflows (large |s|, n ~ 10^4); see Bunck,
-BIT 49 (2009).  The grid table, the envelope-free polynomial table and the
-scalar value all derive from it.  A Gauss-Hermite rule and a peak finder
-round out the toolbox; both are pure functions with no shared mutable state.
+BIT 49 (2009).  The grid table and the scalar value derive from it, and so
+do the Christoffel numbers of the Gauss-Hermite rule, whose nodes are the
+eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
+A peak finder rounds out the toolbox; all are pure functions with no shared
+mutable state.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 __all__ = [
     "QuadratureRule",
     "HermiteScale",
     "hermite_fn",
     "hermite_table",
-    "hermite_poly_table",
     "gauss_hermite",
     "find_peaks",
 ]
@@ -63,29 +63,61 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def gauss_hermite(k: int) -> QuadratureRule:
-    """k-point Gauss-Hermite rule, exact for polynomial degree <= 2k-1."""
+def _christoffel_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and Christoffel numbers lam of the k-point Gauss-Hermite rule.
+
+    x are the eigenvalues of the Jacobi matrix (zero diagonal, off-diagonal
+    sqrt(j/2)), made exactly symmetric about 0.  lam_i = 1 / sum_{j<k}
+    F_j(x_i)^2 is the weight times exp(+x_i^2): the rule sums lam_i f(x_i)
+    for integrands f that already carry the envelope, so no factor leaves
+    the double range.
+    """
     if k < 1:
         raise ValueError(f"quadrature order must be >= 1, got {k}")
-    nodes, weights = roots_hermite(k)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    off = np.sqrt(np.arange(1, k) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x = 0.5 * (x - x[::-1])
+    return x, 1.0 / np.square(hermite_table(k - 1, x)).sum(axis=0)
 
 
-def _hermite_rows(n_max: int, s, log_seed) -> np.ndarray:
-    """F_0..F_{n_max} at unit eB from the seed F_0 = pi^(-1/4) exp(log_seed).
+def gauss_hermite(k: int) -> QuadratureRule:
+    """k-point Gauss-Hermite rule, exact for polynomial degree <= 2k-1.
+
+    Weights exp(-x^2) lam below the normal double range (the outer nodes
+    past ~370 points) lose digits or read 0; the oracles use lam instead.
+    """
+    x, lam = _christoffel_rule(k)
+    return QuadratureRule(nodes=x, weights=np.exp(-x * x) * lam)
+
+
+def hermite_fn(n: int, s: float, scale: HermiteScale | None = None) -> float:
+    """Evaluate the orthonormal Hermite function F_n(s): row n of a one-column table.
+
+    Correct even where the Gaussian envelope exp(-s^2/2) alone underflows
+    doubles while F_n itself is O(1) (large n, |s| inside the classical
+    region).
+    """
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
+    return float(hermite_table(n, [float(s)], scale)[n, 0])
+
+
+def hermite_table(n_max: int, s: np.ndarray, scale: HermiteScale | None = None) -> np.ndarray:
+    """All F_0..F_{n_max} on a grid; shape (n_max+1,) + s.shape.
 
     The one recurrence behind every Hermite shape:
-    F_{k+1} = s*sqrt(2/(k+1)) F_k - sqrt(k/(k+1)) F_{k-1}.  Each column
-    carries a binary exponent.  A seed below exp(-600) is split into a
-    mantissa and that exponent, and every 16 steps the live pair of rows
-    of any column past 2^600 is divided by 2^600 (exact) after the rows
-    before it have been scaled back with ldexp.  Columns that need neither
-    run the plain recurrence, bit for bit.
+    F_{k+1} = s*sqrt(2/(k+1)) F_k - sqrt(k/(k+1)) F_{k-1}, seeded with
+    F_0 = pi^(-1/4) exp(-s^2/2).  Each column carries a binary exponent.  A
+    seed below exp(-600) is split into a mantissa and that exponent, and
+    every 16 steps the live pair of rows of any column past 2^600 is divided
+    by 2^600 (exact) after the rows before it have been scaled back with
+    ldexp.  Columns that need neither run the plain recurrence, bit for bit.
+    So any finite s works, and values below the double range read 0.
     """
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("s must be finite (no NaN or inf)")
-    log_seed = np.broadcast_to(np.asarray(log_seed, dtype=float), s.shape)
+    log_seed = -0.5 * s * s
     shift = np.where(log_seed < -600.0, np.floor(log_seed / _LN2), 0.0)
     expo = shift.astype(np.int64)
     out = np.empty((n_max + 1,) + s.shape)
@@ -104,43 +136,10 @@ def _hermite_rows(n_max: int, s, log_seed) -> np.ndarray:
             expo[big] += _HUGE_EXP
     if expo.any():
         out[done:] = np.ldexp(out[done:], expo)
-    return out
-
-
-def hermite_fn(n: int, s: float, scale: HermiteScale | None = None) -> float:
-    """Evaluate the orthonormal Hermite function F_n(s): row n of a one-column table.
-
-    Correct even where the Gaussian envelope exp(-s^2/2) alone underflows
-    doubles while F_n itself is O(1) (large n, |s| inside the classical
-    region).
-    """
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    return float(hermite_table(n, [float(s)], scale)[n, 0])
-
-
-def hermite_table(n_max: int, s: np.ndarray, scale: HermiteScale | None = None) -> np.ndarray:
-    """All F_0..F_{n_max} on a grid; shape (n_max+1, len(s)).
-
-    Seeded with the envelope exp(-s^2/2); the per-column binary exponent
-    makes any finite s work, and values below the double range read 0.
-    """
-    s = np.asarray(s, dtype=float)
-    out = _hermite_rows(n_max, s, -0.5 * s * s)
     amp = scale.amplitude if scale is not None else 1.0
     if amp != 1.0:
         out *= amp
     return out
-
-
-def hermite_poly_table(n_max: int, s: np.ndarray) -> np.ndarray:
-    """Envelope-free parts p_n = F_n * exp(+s^2/2) at unit eB; shape (n_max+1, len(s)).
-
-    p_n is the degree-n polynomial that makes integrals against exp(-x^2)
-    exactly Gauss-Hermite summable (degree n rule coverage, no envelope
-    stripping at the nodes).
-    """
-    return _hermite_rows(n_max, s, 0.0)
 
 
 def find_peaks(series, min_height: float, min_separation: float) -> list[tuple[float, float]]:

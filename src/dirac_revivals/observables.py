@@ -23,8 +23,9 @@ from enum import Enum
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import LABELS, LevelIndex, PhysicalParams, _component_table, product_rule
+from .landau import LABELS, LevelIndex, PhysicalParams, _component_table
 from .evolution import TimeSeries, _uniform_grid
+from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
     "GeneratorId",
@@ -117,16 +118,19 @@ def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
 
     Entry [k, a, l, b] pairs label LABELS[a] of levels[k] with LABELS[b] of
     levels[l].  Each spinor component sits on one F_k, so the bilinears are
-    the component coefficients contracted against the Gauss-Hermite Gram
-    matrix of the F_i F_j, indexed by Hermite order.
+    the component coefficients contracted against the Gram matrix of the
+    F_i F_j, indexed by Hermite order: sum_i lam_i F_a(x_i) F_b(x_i) over the
+    (n_max + 16)-point Gauss-Hermite rule with Christoffel numbers lam, exact
+    for these products (the (eB)^(1/2) amplitude cancels the measure).
     """
     levels = np.asarray(levels, dtype=int)
     if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
         raise ValueError(f"levels must be a nonempty list of integers >= 1, got {levels}")
     coef, offset = _component_table(LABELS, levels, p)  # (L, 4 labels, 4 components)
     order = (levels[:, None, None] - 1 + offset).reshape(-1)
-    _, w, P = product_rule(int(levels.max()), p)
-    gram = ((P * w) @ P.T)[np.ix_(order, order)].reshape(coef.shape + coef.shape)
+    x, lam = _christoffel_rule(int(levels.max()) + 16)
+    F = hermite_table(int(levels.max()), x)  # unit eB
+    gram = ((F * lam) @ F.T)[np.ix_(order, order)].reshape(coef.shape + coef.shape)
     left = coef[..., None] * _MATRICES[g]  # (L, 4, 4, 4): coefficient times row of Gamma
     return np.einsum("kaij,lbj,kailbj->kalb", left, coef, gram)
 

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.signal import hilbert
 
 from dirac_revivals.catstate import CatSpec, expand, expand_oracle, gaussian_fit
 from dirac_revivals.evolution import (TimeSeries, kz_for_ab_ratio,
@@ -230,7 +229,7 @@ def test_criterion_8_closed_form_observables():
                   f"(dev {dev_az:.1e}; -2M variant off by {dev_neg:.1e})", t0)
 
 
-def test_criterion_9_correlation_dynamics():
+def test_criterion_9_correlation_dynamics(analytic_signal):
     t0 = time.perf_counter()
     checks = {}
     exp_w, sc_w, _ = weak_field_setup()
@@ -241,7 +240,7 @@ def test_criterion_9_correlation_dynamics():
     n = 2 ** 17
     ts = np.linspace(0.0, sc_w.T2, n)
     z = expectation_values(exp_w, GeneratorId.GAMMA5_GAMMA_Z, ts)
-    envelope = np.abs(hilbert(z - z.mean()))
+    envelope = np.abs(analytic_signal(z - z.mean()))
     env_series = TimeSeries(t0=0.0, dt=float(ts[1] - ts[0]), values=envelope)
     peaks = find_peaks(env_series, min_height=0.4 * envelope.max(),
                        min_separation=0.03 * sc_w.T2)
@@ -257,7 +256,7 @@ def test_criterion_9_correlation_dynamics():
     power = np.abs(survival_amplitude(cat5, tf)) ** 2
     surv_bin = int(np.argmax(np.abs(np.fft.rfft(power - power.mean()))[1:])) + 1
     g0 = expectation_values(cat5, GeneratorId.GAMMA0, tf)
-    env2 = np.abs(hilbert(g0 - g0.mean())) ** 2
+    env2 = np.abs(analytic_signal(g0 - g0.mean())) ** 2
     obs_bin = int(np.argmax(np.abs(np.fft.rfft(env2 - env2.mean()))[1:])) + 1
     checks["frequency doubling"] = abs(obs_bin - 2 * surv_bin) <= 1
 

@@ -61,13 +61,24 @@ def test_columns(tmp_path):
 
 
 def test_grid(tmp_path):
-    values = np.stack([EDGE, -EDGE[::-1], EDGE / 7.0])
+    # streamed one t-row at a time, the bytes match the whole-table layout:
+    # t-major, then s, every cell through format_number, "\n" line ends
+    values = np.stack([EDGE, -EDGE[::-1], EDGE / 7.0, EDGE * 1e-300, np.sqrt(np.abs(EDGE))])
     grid = SpatialGrid2D(s_min=-1.0, s_max=1.0, ns=len(EDGE), t_min=0.0, t_max=1.0 / 3.0,
-                         nt=3, values=values)
+                         nt=5, values=values)
     out = tmp_path / "g.csv"
     write_grid_csv(str(out), grid)
     rows = [(grid.s[j], t, values[i, j]) for i, t in enumerate(grid.t) for j in range(grid.ns)]
-    assert out.read_text() == reference(["s", "t", "value"], rows)
+    assert out.read_bytes() == reference(["s", "t", "value"], rows).encode()
+
+
+def test_grid_of_wrong_shape_rejected(tmp_path):
+    grid = SpatialGrid2D(s_min=-1.0, s_max=1.0, ns=4, t_min=0.0, t_max=1.0, nt=3,
+                         values=np.zeros((3, 5)))
+    out = tmp_path / "g.csv"
+    with pytest.raises(ValueError, match=r"shape \(3, 5\), expected \(nt, ns\) = \(3, 4\)"):
+        write_grid_csv(str(out), grid)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("length", [2, 5])

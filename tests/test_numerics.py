@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_revivals.evolution import TimeSeries
-from dirac_revivals.numerics import (HermiteScale, find_peaks, gauss_hermite,
-                                     hermite_fn, hermite_poly_table, hermite_table)
+from dirac_revivals.numerics import (HermiteScale, _christoffel_rule, find_peaks,
+                                     gauss_hermite, hermite_fn, hermite_table)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -123,12 +123,21 @@ class TestGaussHermite:
             assert got == pytest.approx(exact, abs=1e-10 * max(1.0, exact))
 
 
+def _christoffel_gram(n_max):
+    # sum lam F_a F_b is exact for the F_a F_b products of degree <= 2*n_max
+    x, lam = _christoffel_rule(n_max + 16)
+    F = hermite_table(n_max, x)
+    return (F * lam) @ F.T
+
+
 def test_orthonormality_up_to_300():
-    # strip the Gaussian weight and integrate the polynomial parts exactly
-    rule = gauss_hermite(316)
-    P = hermite_poly_table(300, rule.nodes)
-    gram = (P * rule.weights) @ P.T
-    assert np.abs(gram - np.eye(301)).max() < 1e-10
+    assert np.abs(_christoffel_gram(300) - np.eye(301)).max() < 1e-10
+
+
+def test_orthonormality_up_to_1000():
+    # past n_max ~ 354 the plain Gauss-Hermite weights exp(-x^2) lam go
+    # subnormal at the outer nodes; the Christoffel numbers do not
+    assert np.abs(_christoffel_gram(1000) - np.eye(1001)).max() < 1e-10
 
 
 def test_trapezoid_orthonormality_on_wide_grid():

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import hilbert
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
 from dirac_revivals.evolution import (TimeSeries, autocorrelation_series, kz_for_ab_ratio,
@@ -113,15 +112,17 @@ class TestMatrixElements:
             assert np.abs(_level_tables(exp, g)[:6] - el[:, lab][:, :, lab]).max() < 1e-12
 
     def test_unit_norm_at_the_quadrature_limit(self):
-        # n_max = 354 takes the 370-point rule, the last whose weights are
-        # all normal doubles
+        # n_max = 354 takes the 370-point rule, the last whose plain
+        # Gauss-Hermite weights are all normal doubles
         el = matrix_elements(GeneratorId.IDENTITY, [353, 354], MASSLESS)
         assert np.abs(np.einsum("kaka->ka", el) - 1.0).max() < 1e-10
 
-    def test_refuses_past_the_quadrature_limit(self):
-        # subnormal weights would give <u|u> = 0.81 here
-        with pytest.raises(ValueError, match="n_max <= 354"):
-            matrix_elements(GeneratorId.IDENTITY, [399, 400], MASSLESS)
+    @pytest.mark.parametrize("levels", [[399, 400], [999, 1000]])
+    def test_unit_norm_past_the_quadrature_limit(self, levels):
+        # sums over plain weights, subnormal at the outer nodes, gave
+        # <u|u> = 0.81 at [399, 400]; the Christoffel numbers stay normal
+        el = matrix_elements(GeneratorId.IDENTITY, levels, MASSLESS)
+        assert np.abs(np.einsum("kaka->ka", el) - 1.0).max() < 1e-10
 
     def test_alpha_x_adjacent_level_structure(self):
         # alpha_x does connect adjacent (parity-breaking) levels; the cat
@@ -202,7 +203,7 @@ class TestExpectationSeries:
         assert obs.generator is GeneratorId.GAMMA0
         assert obs.series.values[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_frequency_doubling(self):
+    def test_frequency_doubling(self, analytic_signal):
         # revival (beat) spectrum of the observable sits at twice the
         # survival line: bins 4 vs 8 over a 4*T1 window
         exp = expand(CatSpec("S", 5.0, MASSLESS))
@@ -212,7 +213,7 @@ class TestExpectationSeries:
         power = np.abs(survival_amplitude(exp, ts)) ** 2
         surv_bin = int(np.argmax(np.abs(np.fft.rfft(power - power.mean()))[1:])) + 1
         g0 = expectation_values(exp, GeneratorId.GAMMA0, ts)
-        envelope = np.abs(hilbert(g0 - g0.mean())) ** 2
+        envelope = np.abs(analytic_signal(g0 - g0.mean())) ** 2
         obs_bin = int(np.argmax(np.abs(np.fft.rfft(envelope - envelope.mean()))[1:])) + 1
         assert surv_bin == 4
         assert abs(obs_bin - 2 * surv_bin) <= 1
@@ -286,14 +287,14 @@ class TestMutualInformation:
         assert abs(bundle["mutual_information"].values[0]) < 1e-12
 
 
-def test_tensor_component_revivals(fig7):
+def test_tensor_component_revivals(fig7, analytic_signal):
     # quarter/half/three-quarter/full returns of the beat envelope at
     # t/T2 = 1/8, 1/4, 3/8, 1/2 (doubled frequencies halve the scale)
     exp, sc = fig7
     n = 2 ** 17
     ts = np.linspace(0.0, sc.T2, n)
     z = expectation_values(exp, GeneratorId.GAMMA5_GAMMA_Z, ts)
-    envelope = np.abs(hilbert(z - z.mean()))
+    envelope = np.abs(analytic_signal(z - z.mean()))
     series = TimeSeries(t0=0.0, dt=float(ts[1] - ts[0]), values=envelope)
     peaks = find_peaks(series, min_height=0.4 * envelope.max(), min_separation=0.03 * sc.T2)
     assert peaks, "no envelope peaks detected"
