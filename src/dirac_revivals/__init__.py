@@ -7,7 +7,7 @@ densities, and the spin-parity correlation observables built from the
 Hermitian generators of the Dirac algebra.
 """
 
-from .catstate import (CatExpansion, CatSpec, LevelFit, SpectralFunction,
+from .catstate import (A_MAX, CatExpansion, CatSpec, LevelFit, SpectralFunction,
                        expand, expand_oracle, gaussian_fit, initial_profile,
                        spectral_function)
 from .density import SpatialGrid2D, density_closed_form, density_grid, probability_density
@@ -26,7 +26,7 @@ from .observables import (GeneratorId, ObservableSeries, closed_form_series,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatExpansion", "CatSpec", "LevelFit", "SpectralFunction",
+    "A_MAX", "CatExpansion", "CatSpec", "LevelFit", "SpectralFunction",
     "expand", "expand_oracle", "gaussian_fit", "initial_profile", "spectral_function",
     "SpatialGrid2D", "density_closed_form", "density_grid", "probability_density",
     "TimeScales", "TimeSeries", "autocorrelation_series", "evolve_profile",

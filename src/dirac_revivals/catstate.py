@@ -27,6 +27,7 @@ from .landau import LABELS, PhysicalParams, _component_table, _params_arrays
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
+    "A_MAX",
     "CatSpec",
     "CatExpansion",
     "SpectralFunction",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_EPS = 1e-12
+# largest separation accepted: the kept levels grow as a^2 (2,754 at
+# a = 100), far above it the level list outgrows memory, and past
+# a ~ 1e154 a^2/2 overflows
+A_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,8 @@ class CatSpec:
             raise ValueError(f"symmetry must be 'S' or 'A', got {self.symmetry!r}")
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError(f"distance parameter must be finite and >= 0, got {self.a}")
+        if self.a > A_MAX:
+            raise ValueError(f"distance parameter a = {self.a} exceeds A_MAX = {A_MAX:g}")
         if self.symmetry == "A" and self.a == 0.0:
             raise ValueError("antisymmetric state vanishes identically at a = 0")
 
@@ -229,7 +236,11 @@ def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    levels, c = oracle_raw_overlaps(spec, n_max)
+    return _oracle_expansion(spec, *oracle_raw_overlaps(spec, n_max))
+
+
+def _oracle_expansion(spec: CatSpec, levels: np.ndarray, c: np.ndarray) -> CatExpansion:
+    """expand_oracle from the arrays of oracle_raw_overlaps(spec, n_max)."""
     c1, c2, c3 = c[:, 0], c[:, 2], c[:, 3]
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
     if norm == 0.0:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import dataio
-from .catstate import (CatSpec, LevelFit, expand, expand_oracle, gaussian_fit,
+from .catstate import (A_MAX, CatSpec, LevelFit, _oracle_expansion, expand, gaussian_fit,
                        oracle_raw_overlaps, spectral_function)
 from .density import density_grid
 from .evolution import (_uniform_grid, autocorrelation_series, kz_for_ab_ratio,
@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mass", type=float, default=None, help="fermion mass M")
         sp.add_argument("--kz", type=float, default=None, help="longitudinal momentum")
         sp.add_argument("--eB", type=float, default=None, help="magnetic coupling (positive)")
-        sp.add_argument("--a", type=float, default=None, help="cat distance parameter")
+        sp.add_argument("--a", type=float, default=None,
+                        help=f"cat distance parameter, 0 <= a <= {A_MAX:g}")
         sp.add_argument("--symmetry", choices=("S", "A"), default=None)
         sp.add_argument("--ab-ratio", dest="ab_ratio", type=float, default=None,
                         help="solve kz from A/B at the fitted mean level (conflicts with --kz)")
@@ -333,8 +334,10 @@ def cmd_validate(cfg: dict) -> int:
         checks.append((name, value, bound, value <= bound))
 
     # analytic expansion against the quadrature oracle, coefficient by
-    # coefficient; oracle row n - 1 holds level n
-    oracle = expand_oracle(spec, exp.n_max + 2)
+    # coefficient; oracle row n - 1 holds level n.  The raw overlaps of
+    # this one quadrature also feed the parity check below
+    levels, raw = oracle_raw_overlaps(spec, exp.n_max + 2)
+    oracle = _oracle_expansion(spec, levels, raw)
     rows = exp.levels - 1
     dev = max(np.abs(exp.c_r1_plus - oracle.c_r1_plus[rows]).max(),
               np.abs(exp.c_r2_plus - oracle.c_r2_plus[rows]).max(),
@@ -342,7 +345,6 @@ def cmd_validate(cfg: dict) -> int:
     record("coefficient_oracle_equivalence", dev, tol)
 
     # wrong-parity rows and the (r=1,nu=-) column must vanish
-    levels, raw = oracle_raw_overlaps(spec, exp.n_max + 2)
     parity = 0 if spec.symmetry == "S" else 1
     leak = max(np.abs(raw[(levels - 1) % 2 != parity]).max(initial=0.0),
                np.abs(raw[:, 1]).max())

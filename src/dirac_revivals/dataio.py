@@ -32,6 +32,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 _NUMBER = "%.17g"
+_BLOCK = 1024  # rows (CSV) or values (JSON) formatted per write
 
 
 def format_number(x: float) -> str:
@@ -57,8 +58,12 @@ def _write_header(fh: TextIO, header: Sequence[str]) -> None:
     fh.write(f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n")
 
 
-def _write_table(path: str, header: Sequence[str], columns: Sequence[list[str]]) -> None:
-    """Schema line, header row, then row k joins cell k of every column."""
+def _write_table(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Schema line, header row, then row k joins value k of every column.
+
+    The rows are formatted and written _BLOCK at a time, so the strings of
+    one block are all that is held beyond the columns themselves.
+    """
     rows = len(columns[0])
     for name, col in zip(header, columns):
         if len(col) != rows:
@@ -66,31 +71,31 @@ def _write_table(path: str, header: Sequence[str], columns: Sequence[list[str]])
                              f"column {header[0]!r} has {rows}")
     with _text_out(path) as fh:
         _write_header(fh, header)
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        for i in range(0, rows, _BLOCK):
+            cells = [_cells(col[i:i + _BLOCK]) for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_spectral_csv(path: str, spectral: SpectralFunction) -> None:
     """Lines sorted by energy: columns energy, weight."""
     lines = np.asarray(spectral.lines, dtype=float).reshape(-1, 2)
-    _write_table(path, ("energy", "weight"), (_cells(lines[:, 0]), _cells(lines[:, 1])))
+    _write_table(path, ("energy", "weight"), (lines[:, 0], lines[:, 1]))
 
 
 def write_series_csv(path: str, series: TimeSeries, label: str = "value") -> None:
     """Real series as t,<label>; complex series as t,re,im,abs."""
     values = np.asarray(series.values)
-    t = _cells(series.times)
     if np.iscomplexobj(values):
-        # Python's complex abs, not np.abs, whose array loop rounds differently
+        # hypot is what Python's complex abs computes; the array np.abs rounds differently
         _write_table(path, ("t", "re", "im", "abs"),
-                     (t, _cells(values.real), _cells(values.imag),
-                      _cells([abs(v) for v in values.tolist()])))
+                     (series.times, values.real, values.imag, np.hypot(values.real, values.imag)))
     else:
-        _write_table(path, ("t", label), (t, _cells(values)))
+        _write_table(path, ("t", label), (series.times, values))
 
 
 def write_columns_csv(path: str, t: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     """Shared time axis with one named column per series."""
-    _write_table(path, ("t", *columns), [_cells(t)] + [_cells(c) for c in columns.values()])
+    _write_table(path, ("t", *columns), [np.asarray(t), *map(np.asarray, columns.values())])
 
 
 def write_grid_csv(path: str, grid: SpatialGrid2D) -> None:
@@ -106,20 +111,26 @@ def write_grid_csv(path: str, grid: SpatialGrid2D) -> None:
 
 
 def write_grid_json(path: str, grid: SpatialGrid2D) -> None:
-    """Grid spec plus a flat row-major value array."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "s_min": grid.s_min,
-        "s_max": grid.s_max,
-        "ns": grid.ns,
-        "t_min": grid.t_min,
-        "t_max": grid.t_max,
-        "nt": grid.nt,
-        "values": [float(v) for v in grid.values.ravel()],
-    }
+    """Grid spec plus a flat row-major value array.
+
+    The bytes are those of json.dump(doc, indent=1), written _BLOCK values
+    at a time; each block goes through json's C encoder, with the item
+    separator of that indented layout.
+    """
+    head = {"schema": SCHEMA_VERSION, "s_min": grid.s_min, "s_max": grid.s_max,
+            "ns": grid.ns, "t_min": grid.t_min, "t_max": grid.t_max, "nt": grid.nt}
+    values = np.asarray(grid.values, dtype=float).ravel()
     with _text_out(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{\n")
+        fh.writelines(f' "{key}": {json.dumps(value)},\n' for key, value in head.items())
+        if not values.size:
+            fh.write(' "values": []\n}\n')
+            return
+        fh.write(' "values": [\n  ')
+        for i in range(0, values.size, _BLOCK):
+            items = json.dumps(values[i:i + _BLOCK].tolist(), separators=(",\n  ", ": "))
+            fh.write((",\n  " if i else "") + items[1:-1])
+        fh.write("\n ]\n}\n")
 
 
 def write_timescales_json(path: str, report: dict) -> None:

@@ -57,8 +57,8 @@ class SpatialGrid2D:
 
 def _density_row(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray, t: float) -> np.ndarray:
     """psi^dagger psi at time t on the grid of the level rows F_lo, F_hi."""
-    comps = _profile_step(exp, F_lo, F_hi, t)
-    return np.einsum("cs,cs->s", comps.conj(), comps).real
+    lo, hi = _profile_step(exp, F_lo, F_hi, t)
+    return (lo * lo).sum(axis=0) + (hi * hi).sum(axis=0)
 
 
 def probability_density(exp: CatExpansion, s, t: float):

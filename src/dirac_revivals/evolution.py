@@ -100,7 +100,12 @@ def _uniform_grid(t0: float, t1: float, samples: int) -> tuple[np.ndarray, float
     return np.linspace(t0, t1, samples), (t1 - t0) / (samples - 1)
 
 
-_CHUNK = 4096  # time samples per block of survival_amplitude's (T, L) phase matrix
+_BLOCK_CELLS = 2 ** 15  # cells per block of a (time x level) table: 0.5 MB complex, fits in L2
+
+
+def _block_rows(levels: int) -> int:
+    """Time rows per block of a (time x level) table over `levels` levels."""
+    return max(1, _BLOCK_CELLS // levels)
 
 
 def survival_amplitude(exp: CatExpansion, t):
@@ -109,17 +114,18 @@ def survival_amplitude(exp: CatExpansion, t):
     Accepts a scalar or an array of times of any shape.  |C| <= 1 + 4 eps:
     the weights sum to 1 only to rounding, and C is not renormalized (the
     largest excess measured over a in [1, 40], M in [0, 5], |kz| <= 1 is
-    2 eps).  Times run in blocks of _CHUNK; each is summed in fixed
+    2 eps).  Times run in blocks of _block_rows; each row is summed in fixed
     ascending-level order (numpy pairwise), bit-stable under any chunking.
     """
     w_pos, w_neg = exp.weight_positive, exp.weight_negative
     flat = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
-    for i in range(0, flat.size, _CHUNK):
-        phase = np.exp(-1j * np.multiply.outer(flat[i:i + _CHUNK], exp.energies))
+    step = _block_rows(len(exp.energies))
+    for i in range(0, flat.size, step):
+        phase = np.exp(-1j * np.multiply.outer(flat[i:i + step], exp.energies))
         # explicit pairwise sum along the fixed ascending-level axis: bit-stable
         # under any chunking of the time grid (matmul would re-block)
-        out[i:i + _CHUNK] = (phase * w_pos).sum(axis=-1) + (np.conj(phase) * w_neg).sum(axis=-1)
+        out[i:i + step] = (phase * w_pos).sum(axis=-1) + (np.conj(phase) * w_neg).sum(axis=-1)
     return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 
@@ -141,20 +147,23 @@ def _level_rows(exp: CatExpansion, s) -> tuple[np.ndarray, np.ndarray]:
     return table[exp.levels - 1], table[exp.levels]
 
 
-def _profile_step(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray, t: float) -> np.ndarray:
-    """The four spinor components at time t from the rows of _level_rows."""
+def _profile_step(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray,
+                  t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the four spinor components at time t.
+
+    Returns (lo, hi), each (4, ns) and real: lo holds Re psi_0, Re psi_2,
+    Im psi_0, Im psi_2 (on F_lo) and hi the same of psi_1, psi_3 (on F_hi),
+    so a time step is two real products with the rows of _level_rows.
+    """
     A, B, se = exp.A, exp.B, np.sqrt(exp.eta)
     ph_pos = np.exp(-1j * exp.energies * t)   # r=1 branch, energy +E
     ph_neg = np.conj(ph_pos)                  # r=2 branch, energy -E
     w1 = exp.c_r1_plus * ph_pos
     w2 = exp.c_r2_plus * ph_neg
     w3 = exp.c_r2_minus * ph_neg
-    out = np.empty((4, F_lo.shape[1]), dtype=complex)
-    out[0] = (se * (w1 + B * w2 - A * w3)) @ F_lo
-    out[1] = (se * (A * w2 + B * w3)) @ F_hi
-    out[2] = (se * (A * w1 + w3)) @ F_lo
-    out[3] = (se * (-B * w1 + w2)) @ F_hi
-    return out
+    lo = se * np.stack([w1 + B * w2 - A * w3, A * w1 + w3])
+    hi = se * np.stack([A * w2 + B * w3, -B * w1 + w2])
+    return np.concatenate([lo.real, lo.imag]) @ F_lo, np.concatenate([hi.real, hi.imag]) @ F_hi
 
 
 def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
@@ -164,4 +173,8 @@ def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
     summing basis spinors one by one; at t = 0 this reproduces the
     normalized two-Gaussian profile on the first component.
     """
-    return _profile_step(exp, *_level_rows(exp, s), t)
+    lo, hi = _profile_step(exp, *_level_rows(exp, s), t)
+    out = np.empty((4, lo.shape[1]), dtype=complex)
+    out[0::2] = lo[:2] + 1j * lo[2:]
+    out[1::2] = hi[:2] + 1j * hi[2:]
+    return out

@@ -24,7 +24,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .landau import LABELS, LevelIndex, PhysicalParams, _component_table
-from .evolution import TimeSeries, _uniform_grid
+from .evolution import TimeSeries, _block_rows, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -173,18 +173,27 @@ def _series_coefficients(exp: CatExpansion, g: GeneratorId):
 
 
 def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
-    """<Gamma>(t) from the direct bilinear engine; t scalar or array.
+    """<Gamma>(t) from the direct bilinear engine; t scalar or array of any shape.
 
-    A sequence of generators g gives stacked rows on one cos/sin(2Et) basis.
+    A sequence of generators g gives stacked rows on one cos/sin(2Et) basis,
+    built in blocks of _block_rows times.  Each row is summed pairwise over
+    the ascending-level axis, so the bits do not depend on the chunking and
+    a scalar t gives the grid value.
     """
     single = isinstance(g, GeneratorId)
     coefficients = [_series_coefficients(exp, gi) for gi in ((g,) if single else g)]
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    phase = 2.0 * np.multiply.outer(t_arr, exp.energies)
-    cos, sin = np.cos(phase), np.sin(phase, out=phase)
-    vals = np.stack([stat.sum() + cos @ cosc + sin @ sinc for stat, cosc, sinc in coefficients])
-    vals = vals[0] if single else vals
-    return vals if np.ndim(t) else (float(vals[0]) if single else vals[:, 0])
+    flat = np.asarray(t, dtype=float).reshape(-1)
+    vals = np.empty((len(coefficients), flat.size))
+    step = _block_rows(len(exp.energies))
+    for i in range(0, flat.size, step):
+        phase = 2.0 * np.multiply.outer(flat[i:i + step], exp.energies)
+        cos, sin = np.cos(phase), np.sin(phase, out=phase)
+        for row, (stat, cosc, sinc) in zip(vals, coefficients):
+            row[i:i + step] = stat.sum() + (cos * cosc).sum(axis=-1) + (sin * sinc).sum(axis=-1)
+    vals = vals.reshape((len(coefficients),) + np.shape(t))
+    if single:
+        vals = vals[0]
+    return float(vals) if single and not np.ndim(t) else vals
 
 
 def expectation_series(exp: CatExpansion, g: GeneratorId, t0: float, t1: float,

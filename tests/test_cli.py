@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import dirac_revivals
-from dirac_revivals import cli, observables
-from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
+from dirac_revivals import catstate, cli, observables
+from dirac_revivals.catstate import A_MAX, CatSpec, expand, gaussian_fit
 from dirac_revivals.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                                 _EXPORTED_GENERATORS, _KZ_RTOL, main)
 from dirac_revivals.density import density_closed_form
@@ -297,6 +297,38 @@ class TestValidate:
                 lines = capsys.readouterr().out.splitlines()
                 assert len(lines) == 5
                 assert all(line.endswith("PASS") for line in lines)
+
+    def test_quadrature_overlaps_computed_once(self, monkeypatch, capsys):
+        # the oracle coefficients and the parity leak come from one raw array
+        calls = []
+        raw = catstate.oracle_raw_overlaps
+
+        def counted(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(catstate, "oracle_raw_overlaps", counted)
+        monkeypatch.setattr(cli, "oracle_raw_overlaps", counted)
+        assert main(["validate", "--a", "5"]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(calls) == 1
+
+
+class TestDomain:
+    @pytest.mark.parametrize("a", ["1e200", repr(math.nextafter(A_MAX, math.inf))])
+    @pytest.mark.parametrize("command", ["spectral", "survival", "validate"])
+    def test_separation_above_the_limit_is_config_error(self, tmp_path, capsys, command, a):
+        out = tmp_path / "out"
+        argv = [command, "--a", a] + ([] if command == "validate" else ["--out", str(out)])
+        assert main(argv) == EXIT_CONFIG
+        assert f"exceeds A_MAX = {A_MAX:g}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_separation_at_the_limit_runs(self, tmp_path):
+        out = tmp_path / "spectral.csv"
+        assert main(["spectral", "--a", repr(A_MAX), "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConfigHandling:

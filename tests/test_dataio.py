@@ -1,11 +1,14 @@
-"""CSV writers against a line-by-line format_number reference."""
+"""CSV and JSON writers against line-by-line and json.dump references."""
+
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dirac_revivals.catstate import SpectralFunction
-from dirac_revivals.dataio import (format_number, write_columns_csv, write_grid_csv,
-                                   write_series_csv, write_spectral_csv)
+from dirac_revivals.dataio import (_BLOCK, format_number, write_columns_csv, write_grid_csv,
+                                   write_grid_json, write_series_csv, write_spectral_csv)
 from dirac_revivals.density import SpatialGrid2D
 from dirac_revivals.evolution import TimeSeries
 
@@ -70,6 +73,52 @@ def test_grid(tmp_path):
     write_grid_csv(str(out), grid)
     rows = [(grid.s[j], t, values[i, j]) for i, t in enumerate(grid.t) for j in range(grid.ns)]
     assert out.read_bytes() == reference(["s", "t", "value"], rows).encode()
+
+
+def test_columns_across_blocks(tmp_path):
+    # formatted _BLOCK rows at a time, the bytes match the whole-table layout
+    t = np.linspace(0.0, 1.0, 2 * _BLOCK + 3)
+    columns = {"x": np.sin(7.0 * t), "y": -t / 3.0}
+    out = tmp_path / "o.csv"
+    write_columns_csv(str(out), t, columns)
+    assert out.read_text() == reference(["t", "x", "y"], zip(t, *columns.values()))
+
+
+def test_series_memory_bounded_by_the_block(tmp_path):
+    # 120,001 rows: whole columns of cell strings would take about 20 MB
+    series = TimeSeries(t0=0.0, dt=0.01, values=np.cos(np.linspace(0.0, 500.0, 120001)))
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        write_series_csv(str(out), series, "abs_C")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert len(out.read_text().splitlines()) == 2 + 120001
+
+
+def _grid_values(nt, ns):
+    return (np.resize(np.concatenate([EDGE, -EDGE / 7.0]), nt * ns).reshape(nt, ns)
+            * np.linspace(1.0, 0.5, nt)[:, None])
+
+
+@pytest.mark.parametrize("values", [
+    _grid_values(5, len(EDGE)),
+    _grid_values(3, _BLOCK + 7),   # crosses a block boundary
+    np.zeros((2, 0)),
+    np.array([[0.5, np.nan], [np.inf, -np.inf]]),
+])
+def test_grid_json_bytes(tmp_path, values):
+    # streamed values, the bytes of json.dump(doc, indent=1) plus a newline
+    nt, ns = values.shape
+    grid = SpatialGrid2D(s_min=-1.0, s_max=1.0, ns=ns, t_min=0.0, t_max=1.0 / 3.0,
+                         nt=nt, values=values)
+    out = tmp_path / "g.json"
+    write_grid_json(str(out), grid)
+    doc = {"schema": 1, "s_min": -1.0, "s_max": 1.0, "ns": ns, "t_min": 0.0,
+           "t_max": 1.0 / 3.0, "nt": nt, "values": values.ravel().tolist()}
+    assert out.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
 
 
 def test_grid_of_wrong_shape_rejected(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profile
-from dirac_revivals.evolution import (_CHUNK, TimeSeries, autocorrelation_series,
+from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
                                       evolve_profile, kz_for_ab_ratio,
                                       survival_amplitude, survival_series, time_scales)
 from dirac_revivals.landau import PhysicalParams, one_particle_params
@@ -123,7 +123,7 @@ class TestSurvivalSeries:
     def test_deterministic_against_chunking(self, cat5):
         # same grid points evaluated one by one must be bit-identical, also
         # on a grid that crosses the internal block boundaries
-        for samples in (301, 2 * _CHUNK + 1):
+        for samples in (301, 2 * _block_rows(len(cat5.levels)) + 1):
             ts = np.linspace(0.0, 30.0, samples)
             full = survival_series(cat5, 0.0, 30.0, samples).values
             single = np.array([abs(survival_amplitude(cat5, t)) for t in ts])
@@ -144,7 +144,7 @@ class TestSurvivalSeries:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
     def test_complex_series_matches_magnitude(self, cat5):
         za = autocorrelation_series(cat5, 0.0, 10.0, 101)

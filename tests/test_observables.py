@@ -1,19 +1,22 @@
 """Generator expectation values, selection rules, correlation quantifiers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
-from dirac_revivals.evolution import (TimeSeries, autocorrelation_series, kz_for_ab_ratio,
-                                      survival_amplitude, survival_series, time_scales)
+from dirac_revivals.cli import _EXPORTED_GENERATORS
+from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
+                                      kz_for_ab_ratio, survival_amplitude, survival_series,
+                                      time_scales)
 from dirac_revivals.landau import LABELS, LevelIndex, PhysicalParams, energy, one_particle_params
 from dirac_revivals.numerics import find_peaks
-from dirac_revivals.observables import (_LABELS, GeneratorId, _level_tables, closed_form_series,
-                                        concurrence_sq, correlation_series,
-                                        expectation_series, expectation_values,
-                                        generator_matrix, matrix_element,
+from dirac_revivals.observables import (_CORRELATION_GENERATORS, _LABELS, GeneratorId,
+                                        _level_tables, closed_form_series, concurrence_sq,
+                                        correlation_series, expectation_series,
+                                        expectation_values, generator_matrix, matrix_element,
                                         matrix_elements, mutual_information)
 
 MASSLESS = PhysicalParams()
@@ -196,6 +199,33 @@ class TestExpectationSeries:
             assert np.array_equal(row, expectation_values(exp, g, ts))
         at_t = expectation_values(exp, ALL_GENERATORS, 3.0)
         assert np.array_equal(at_t, [expectation_values(exp, g, 3.0) for g in ALL_GENERATORS])
+
+    def test_deterministic_against_chunking(self, fig7):
+        # scalar times and a 2-D time array give the bits of the 1-D grid,
+        # on a grid that crosses the internal block boundaries
+        exp, sc = fig7
+        ts = np.linspace(0.0, sc.T2, 2 * _block_rows(len(exp.levels)) + 3)
+        rows = expectation_values(exp, _CORRELATION_GENERATORS, ts)
+        single = np.array([expectation_values(exp, _CORRELATION_GENERATORS, t) for t in ts])
+        assert np.array_equal(single.T, rows)
+        gamma0 = [expectation_values(exp, GeneratorId.GAMMA0, t) for t in ts]
+        assert np.array_equal(gamma0, rows[0])
+        block = expectation_values(exp, _CORRELATION_GENERATORS, np.stack([ts, ts[::-1]]))
+        assert block.shape == (len(_CORRELATION_GENERATORS), 2, ts.size)
+        assert np.array_equal(block[:, 0], rows) and np.array_equal(block[:, 1], rows[:, ::-1])
+
+    def test_memory_bounded_by_the_block(self):
+        # six generators at a = 20 (155 levels) over 20,000 times: whole
+        # (T, L) cos and sin tables would take about 50 MB
+        exp = expand(CatSpec("S", 20.0, MASSLESS))
+        ts = np.linspace(0.0, 300.0, 20000)
+        tracemalloc.start()
+        try:
+            expectation_values(exp, _EXPORTED_GENERATORS, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_series_wrapper(self, fig7):
         exp, _ = fig7
