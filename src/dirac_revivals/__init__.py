@@ -16,8 +16,7 @@ from .evolution import (TimeScales, TimeSeries, autocorrelation_series,
                         survival_amplitude, survival_series, time_scales)
 from .landau import (LevelIndex, OneParticleParams, PhysicalParams, energy,
                      energy_derivatives, one_particle_params, spinor)
-from .numerics import (HermiteScale, QuadratureRule, find_peaks, gauss_hermite,
-                       hermite_fn, hermite_table)
+from .numerics import HermiteScale, find_peaks, hermite_fn, hermite_table
 from .observables import (GeneratorId, ObservableSeries, closed_form_series,
                           concurrence_sq, correlation_series, expectation_series,
                           expectation_values, generator_matrix, matrix_element,
@@ -34,8 +33,7 @@ __all__ = [
     "time_scales",
     "LevelIndex", "OneParticleParams", "PhysicalParams", "energy",
     "energy_derivatives", "one_particle_params", "spinor",
-    "HermiteScale", "QuadratureRule", "find_peaks", "gauss_hermite",
-    "hermite_fn", "hermite_table",
+    "HermiteScale", "find_peaks", "hermite_fn", "hermite_table",
     "GeneratorId", "ObservableSeries", "closed_form_series", "concurrence_sq",
     "correlation_series", "expectation_series", "expectation_values",
     "generator_matrix", "matrix_element", "matrix_elements", "mutual_information",

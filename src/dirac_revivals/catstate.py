@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_EPS = 1e-12
-# largest separation accepted: the kept levels grow as a^2 (2,754 at
-# a = 100), far above it the level list outgrows memory, and past
-# a ~ 1e154 a^2/2 overflows
+# largest separation accepted: the kept levels grow as a (505 at a = 100)
+# but n_max as a^2/2 (5,514 at a = 100) and the Hermite tables with it,
+# and past a ~ 1e154 a^2/2 overflows
 A_MAX = 100.0
 
 
@@ -149,18 +149,26 @@ def _parity_weights(symmetry: str, a: float, tail_eps: float):
     logw = ms * math.log(lam) - np.array([math.lgamma(m + 1.0) for m in ms])
     w = np.exp(logw - logw.max())
     w /= w.sum()
-    # keep ascending m until the discarded tail drops below tail_eps
-    cs = np.cumsum(w)
-    ncut = int(np.searchsorted(cs, 1.0 - tail_eps)) + 1
-    ms, w = ms[:ncut], w[:ncut]
+    # drop the lighter end level while the total dropped stays below
+    # tail_eps; w is unimodal in m, so this drops the smallest weights
+    # first and the kept levels stay one run with step 2
+    wl = w.tolist()
+    i, j, dropped = 0, len(wl) - 1, 0.0
+    while i < j and dropped + min(wl[i], wl[j]) < tail_eps:
+        if wl[i] <= wl[j]:
+            dropped, i = dropped + wl[i], i + 1
+        else:
+            dropped, j = dropped + wl[j], j - 1
+    ms, w = ms[i:j + 1], w[i:j + 1]
     return ms, w / w.sum()
 
 
 def expand(spec: CatSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> CatExpansion:
     """Analytic expansion coefficients, renormalized to unit total weight.
 
-    Truncation keeps ascending levels until the discarded closed-form
-    probability is below tail_eps.
+    Truncation drops the least-populated levels from both ends of the
+    parity ladder while their total closed-form probability stays below
+    tail_eps, so the kept levels are one band around the mean level.
     """
     if not (0.0 < tail_eps <= 1e-6):
         raise ValueError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")

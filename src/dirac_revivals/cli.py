@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ab-ratio", dest="ab_ratio", type=float, default=None,
                         help="solve kz from A/B at the fitted mean level (conflicts with --kz)")
         sp.add_argument("--tail-eps", dest="tail_eps", type=float, default=None,
-                        help="discarded-probability bound of the truncation")
+                        help="discarded-probability bound of the truncation, total over both tails")
         sp.add_argument("--out", default=None, help="output path ('-' for stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
 

@@ -92,7 +92,8 @@ def energy(n, p: PhysicalParams):
     n = np.asarray(n, dtype=float)
     if np.any(n < 0):
         raise ValueError("level index must be >= 0")
-    out = np.sqrt(p.M * p.M + p.kz * p.kz + 2.0 * n * p.eB)
+    with np.errstate(over="ignore"):  # an infinite E_n is refused by _params_arrays
+        out = np.sqrt(p.M * p.M + p.kz * p.kz + 2.0 * n * p.eB)
     return out if out.ndim else float(out)
 
 
@@ -111,14 +112,30 @@ def energy_derivatives(n0: float, p: PhysicalParams) -> tuple[float, float, floa
     if E <= 0.0:
         raise ValueError("E(n0) must be positive")
     d1 = p.eB / E
-    d2 = -(p.eB ** 2) / E ** 3
-    d3 = 3.0 * (p.eB ** 3) / E ** 5
+    # eB**k may underflow to 0: that derivative vanishes, its period is infinite
+    d2 = -_power("eB", p.eB, 2) / _power("E(n0)", E, 3, divisor=True)
+    d3 = 3.0 * _power("eB", p.eB, 3) / _power("E(n0)", E, 5, divisor=True)
     return d1, d2, d3
+
+
+def _power(name: str, x: float, k: int, divisor: bool = False) -> float:
+    """x**k, or a ValueError naming `name`**k if it overflows (or, as a
+    divisor, underflows to 0)."""
+    try:
+        v = x ** k
+    except OverflowError:
+        v = math.inf
+    if v == math.inf or (divisor and v == 0.0):
+        raise ValueError(f"{name}**{k} leaves the double range ({name} = {x:g})")
+    return v
 
 
 def _params_arrays(n, p: PhysicalParams):
     """(E, A, B, eta) of level(s) n: the one source of these expressions."""
     E = energy(n, p)
+    if not np.isfinite(E).all():
+        raise ValueError(f"E_n = sqrt(M^2 + kz^2 + 2 n eB) leaves the double range "
+                         f"(M = {p.M:g}, kz = {p.kz:g}, eB = {p.eB:g})")
     A = p.kz / (E + p.M)
     B = np.sqrt(2.0 * np.asarray(n, dtype=float) * p.eB) / (E + p.M)
     eta = (E + p.M) / (2.0 * E)

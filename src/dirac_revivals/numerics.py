@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "HermiteScale",
     "hermite_fn",
     "hermite_table",
-    "gauss_hermite",
     "find_peaks",
 ]
 
@@ -51,18 +49,6 @@ class HermiteScale:
         return self.eB ** 0.25
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite rule for the weight exp(-x^2) on (-inf, inf)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Sum w_i * values_i for values already stripped of exp(-x^2)."""
-        return float(np.dot(self.weights, values))
-
-
 def _christoffel_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and Christoffel numbers lam of the k-point Gauss-Hermite rule.
 
@@ -78,16 +64,6 @@ def _christoffel_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     x = 0.5 * (x - x[::-1])
     return x, 1.0 / np.square(hermite_table(k - 1, x)).sum(axis=0)
-
-
-def gauss_hermite(k: int) -> QuadratureRule:
-    """k-point Gauss-Hermite rule, exact for polynomial degree <= 2k-1.
-
-    Weights exp(-x^2) lam below the normal double range (the outer nodes
-    past ~370 points) lose digits or read 0; the oracles use lam instead.
-    """
-    x, lam = _christoffel_rule(k)
-    return QuadratureRule(nodes=x, weights=np.exp(-x * x) * lam)
 
 
 def hermite_fn(n: int, s: float, scale: HermiteScale | None = None) -> float:

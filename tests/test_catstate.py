@@ -8,6 +8,8 @@ import pytest
 from dirac_revivals.catstate import (CatSpec, expand, expand_oracle, gaussian_fit,
                                      initial_profile, oracle_raw_overlaps,
                                      profile_norm, spectral_function)
+from dirac_revivals.density import density_grid
+from dirac_revivals.evolution import survival_amplitude, time_scales
 from dirac_revivals.landau import PhysicalParams, one_particle_params
 from dirac_revivals.numerics import hermite_table
 
@@ -67,15 +69,53 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(CatSpec("S", 2.0, MASSLESS), tail_eps=0.0)
 
-    def test_truncation_tail_bound(self):
-        tail = 1e-9
-        exp = expand(CatSpec("S", 10.0, MASSLESS), tail_eps=tail)
-        lam = 50.0
+    @pytest.mark.parametrize("tail", (1e-6, 1e-9, 1e-12))
+    @pytest.mark.parametrize("a", (10.0, 20.0, 50.0, 100.0))
+    @pytest.mark.parametrize("sym", ("S", "A"))
+    def test_truncation_tail_bound(self, sym, a, tail):
+        exp = expand(CatSpec(sym, a, MASSLESS), tail_eps=tail)
+        # one band of the parity ladder, no gaps
+        assert np.all(np.diff(exp.levels) == 2)
+        # closed-form mass of every dropped level, below and above the band;
+        # log cosh/sinh(lam) in a form that does not overflow at a = 100
+        lam = 0.5 * a * a
+        sgn = 1.0 if sym == "S" else -1.0
+        log_norm = lam + math.log1p(sgn * math.exp(-2.0 * lam)) - math.log(2.0)
         kept = {int(n) - 1 for n in exp.levels}
-        log_norm = math.log(math.cosh(lam))
-        discarded = sum(math.exp(m * math.log(lam) - math.lgamma(m + 1) - log_norm)
-                        for m in range(0, 401, 2) if m not in kept)
+        ms = range(0 if sym == "S" else 1, int(lam + 20.0 * math.sqrt(lam) + 100.0), 2)
+        discarded = math.fsum(math.exp(m * math.log(lam) - math.lgamma(m + 1) - log_norm)
+                              for m in ms if m not in kept)
         assert discarded < tail
+
+    def test_small_a_keeps_top_cut_levels(self):
+        # up to a ~ 7.5 no level below the mean is light enough to drop, so the
+        # levels are those of a cut from the top alone (cumulative sum from m0)
+        for sym in ("S", "A"):
+            m0 = 0 if sym == "S" else 1
+            for a in np.arange(0.25, 7.51, 0.25):
+                lam = 0.5 * a * a
+                ms = np.arange(m0, int(lam + 14.0 * math.sqrt(lam) + 40.0) + 1, 2)
+                w = np.exp(ms * math.log(lam) - np.array([math.lgamma(m + 1.0) for m in ms]))
+                cs = np.cumsum(w / w.sum())
+                ncut = int(np.searchsorted(cs, 1.0 - 1e-12)) + 1
+                exp = expand(CatSpec(sym, float(a), MASSLESS))
+                assert np.array_equal(exp.levels, ms[:ncut] + 1), (sym, a)
+
+    def test_kept_levels_grow_as_a(self):
+        # a cut from the top alone keeps 155 levels at a = 20 and 2,754 at a = 100
+        for sym in ("S", "A"):
+            assert len(expand(CatSpec(sym, 20.0, MASSLESS)).levels) <= 105
+            assert len(expand(CatSpec(sym, 100.0, MASSLESS)).levels) <= 600
+
+    def test_cut_against_near_complete_reference(self):
+        spec = CatSpec("S", 20.0, MASSLESS)
+        exp, ref = expand(spec), expand(spec, tail_eps=1e-16)
+        scales = time_scales(gaussian_fit(exp).n0, spec.params)
+        t = np.linspace(0.0, scales.T3, 4001)
+        assert np.abs(survival_amplitude(exp, t) - survival_amplitude(ref, t)).max() <= 1e-12
+        # density is quadratic in amplitudes, which the cut moves by ~sqrt(tail)
+        grid, ref_grid = (density_grid(e, -26.0, 26.0, 801, 0.0, scales.T2, 11) for e in (exp, ref))
+        assert np.abs(grid.values - ref_grid.values).max() <= 5e-7
 
 
 def _coefficient_deviation(exp, oracle):

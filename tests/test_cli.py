@@ -324,6 +324,32 @@ class TestDomain:
         assert f"exceeds A_MAX = {A_MAX:g}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, quantity", [
+        (["timescales", "--eB", "1e160"], "eB**2"),
+        (["timescales", "--mass", "1e100"], "E(n0)**5"),
+        (["timescales", "--eB", "1e-200"], "E(n0)**5"),
+        (["survival", "--eB", "1e-300", "--samples", "11"], "E(n0)**3"),
+        (["spectral", "--mass", "1e155"], "E_n = sqrt(M^2 + kz^2 + 2 n eB)"),
+        (["spectral", "--eB", "1e307"], "E_n = sqrt(M^2 + kz^2 + 2 n eB)"),
+    ], ids=["timescales-eB-1e160", "timescales-mass-1e100", "timescales-eB-1e-200",
+            "survival-eB-1e-300", "spectral-mass-1e155", "spectral-eB-1e307"])
+    def test_overflowing_physical_input_is_config_error(self, tmp_path, capsys, argv, quantity):
+        # refused by name, not by an OverflowError/ZeroDivisionError traceback
+        # or an empty table after a RuntimeWarning
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert f"{quantity} leaves the double range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_finite_mass_runs(self, tmp_path):
+        out = tmp_path / "spectral.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["spectral", "--mass", "1e150", "--out", str(out)]) == EXIT_OK
+        assert len(read_csv(out)[1]) > 0
+
     def test_separation_at_the_limit_runs(self, tmp_path):
         out = tmp_path / "spectral.csv"
         assert main(["spectral", "--a", repr(A_MAX), "--out", str(out)]) == EXIT_OK
