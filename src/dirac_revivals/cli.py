@@ -1,7 +1,9 @@
 """Command-line surface emitting the reproduction datasets.
 
 Subcommands: spectral, survival, timescales, density, observables,
-validate.  Flags override a flat `key = value` config file; outputs are
+validate.  Every setting is one row of `_OPTIONS`: its type or choices, its
+default, the subcommands whose flags set it and its help.  Flags override a
+flat `key = value` config file, which overrides the defaults; outputs are
 deterministic (identical config -> byte-identical files).  Exit codes:
 0 ok, 1 validation failure, 2 I/O error, 3 bad configuration.
 
@@ -32,20 +34,51 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 
-_CONFIG_KEYS = {
-    "mass": float, "kz": float, "eB": float, "a": float, "symmetry": str,
-    "ab_ratio": float, "tail_eps": float, "tmin": float, "tmax": float,
-    "samples": int, "smin": float, "smax": float, "ns": int, "nt": int,
-    "out": str, "format": str,
-}
+_ALL = ("spectral", "survival", "timescales", "density", "observables", "validate")
+_WINDOWED = ("survival", "density", "observables")
+
+# Every setting, one row each: (key, type or tuple of choices, default, the
+# subcommands whose flag sets it, help).  The parser, the config file and the
+# defaults all derive from this table; a config file may set any key.
+_OPTIONS = (
+    ("mass", float, 0.0, _ALL, "fermion mass M"),
+    ("kz", float, None, _ALL, "longitudinal momentum"),
+    ("eB", float, 1.0, _ALL, "magnetic coupling, positive"),
+    ("a", float, 5.0, _ALL, f"cat distance parameter, 0 <= a <= {A_MAX:g}"),
+    ("symmetry", ("S", "A"), "S", _ALL, "symmetric or antisymmetric cat"),
+    ("ab_ratio", float, None, _ALL,
+     "solve kz from A/B at the fitted mean level (conflicts with --kz)"),
+    ("tail_eps", float, 1e-12, _ALL,
+     "discarded-probability bound of the truncation, total over both tails"),
+    ("tmin", float, 0.0, _WINDOWED, "start of the time window"),
+    ("tmax", float, None, _WINDOWED,
+     "end of the time window (default: survival 2 T1, density 3 T1, observables T2)"),
+    ("samples", int, 2000, ("survival", "observables"), "time samples"),
+    ("smin", float, None, ("density",), "lower s bound (default -(a + 6))"),
+    ("smax", float, None, ("density",), "upper s bound (default a + 6)"),
+    ("ns", int, None, ("density",), "s samples (default: Nyquist for the kept levels)"),
+    ("nt", int, 301, ("density",), "time samples"),
+    ("out", str, "-", _ALL, "output path, '-' for stdout"),
+    ("format", ("csv", "json"), "csv", ("density",), "output format"),
+)
 
 
 class ConfigError(Exception):
     pass
 
 
+def _typed(kind, text: str):
+    """text as a value of a row's kind: a type, or a tuple of choices."""
+    if not isinstance(kind, tuple):
+        return kind(text)
+    if text not in kind:
+        raise ValueError(f"not one of {kind}")
+    return text
+
+
 def read_config_file(path: str) -> dict:
     """Flat `key = value` lines; '#' starts a comment."""
+    kinds = {key: kind for key, kind, *_ in _OPTIONS}
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -60,10 +93,10 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in kinds:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](val)
+            values[key] = _typed(kinds[key], val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return values
@@ -75,85 +108,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dirac cat states in relativistic Landau levels: datasets for "
                     "spectra, survival probability, densities and spin-parity observables.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, run in _COMMANDS.items():
+        sp = sub.add_parser(command, help=run.__doc__)
         sp.add_argument("--config", help="flat key = value config file (flags win)")
-        sp.add_argument("--mass", type=float, default=None, help="fermion mass M")
-        sp.add_argument("--kz", type=float, default=None, help="longitudinal momentum")
-        sp.add_argument("--eB", type=float, default=None, help="magnetic coupling (positive)")
-        sp.add_argument("--a", type=float, default=None,
-                        help=f"cat distance parameter, 0 <= a <= {A_MAX:g}")
-        sp.add_argument("--symmetry", choices=("S", "A"), default=None)
-        sp.add_argument("--ab-ratio", dest="ab_ratio", type=float, default=None,
-                        help="solve kz from A/B at the fitted mean level (conflicts with --kz)")
-        sp.add_argument("--tail-eps", dest="tail_eps", type=float, default=None,
-                        help="discarded-probability bound of the truncation, total over both tails")
-        sp.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-
-    sp = sub.add_parser("spectral", help="spectral lines (energy, weight)")
-    add_common(sp)
-
-    sp = sub.add_parser("survival", help="|C(t)| series")
-    add_common(sp)
-    sp.add_argument("--tmin", type=float, default=None)
-    sp.add_argument("--tmax", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--complex", action="store_true", dest="complex_out",
-                    help="emit re/im/abs columns of C(t)")
-
-    sp = sub.add_parser("timescales", help="fit report and T1/T2/T3")
-    add_common(sp)
-
-    sp = sub.add_parser("density", help="probability density on an (s,t) grid")
-    add_common(sp)
-    sp.add_argument("--tmin", type=float, default=None)
-    sp.add_argument("--tmax", type=float, default=None)
-    sp.add_argument("--nt", type=int, default=None)
-    sp.add_argument("--smin", type=float, default=None)
-    sp.add_argument("--smax", type=float, default=None)
-    sp.add_argument("--ns", type=int, default=None)
-
-    sp = sub.add_parser("observables", help="generator series + concurrence^2 + mutual information")
-    add_common(sp)
-    sp.add_argument("--tmin", type=float, default=None)
-    sp.add_argument("--tmax", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-
-    sp = sub.add_parser("validate", help="run the internal consistency suite")
-    add_common(sp)
+        for key, kind, default, commands, text in _OPTIONS:
+            if command in commands:
+                # no argparse default: a flag left out must not override the file
+                typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                sp.add_argument("--" + key.replace("_", "-"), **typed,
+                                help=text if default is None else f"{text} (default {default})")
+        if command == "survival":
+            sp.add_argument("--complex", action="store_true", default=None, dest="complex_out",
+                            help="emit re/im/abs columns of C(t)")
     return parser
 
 
-_DEFAULTS = {
-    "mass": 0.0, "kz": None, "eB": 1.0, "a": 5.0, "symmetry": "S",
-    "ab_ratio": None, "tail_eps": 1e-12, "samples": 2000, "nt": 301,
-    "out": "-", "format": "csv",
-}
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < explicit flags; validate combinations."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    """Merge defaults < config file < explicit flags; check what only the CLI knows.
+
+    The library refuses the rest (eB, a, symmetry, tail_eps) with a ValueError.
+    """
+    cfg = {key: default for key, _, default, *_ in _OPTIONS}
+    if args.config:
         cfg.update(read_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    for key, kind in _CONFIG_KEYS.items():
-        if kind is float and cfg.get(key) is not None and not math.isfinite(cfg[key]):
+    cfg.update((key, val) for key, val in vars(args).items()
+               if val is not None and key not in ("command", "config"))
+    for key, kind, *_ in _OPTIONS:
+        if kind is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
-    if cfg.get("eB") is None or cfg["eB"] <= 0.0:
-        raise ConfigError(f"eB must be positive, got {cfg.get('eB')}")
-    if cfg.get("a") is None or cfg["a"] < 0.0:
-        raise ConfigError("distance parameter a must be >= 0")
-    if cfg.get("kz") is not None and cfg.get("ab_ratio") is not None:
+    if cfg["kz"] is not None and cfg["ab_ratio"] is not None:
         raise ConfigError("exactly one of kz and ab_ratio may be given")
-    if cfg.get("symmetry") not in ("S", "A"):
-        raise ConfigError(f"symmetry must be S or A, got {cfg.get('symmetry')}")
-    if not (0.0 < cfg["tail_eps"] <= 1e-6):
-        raise ConfigError("tail_eps must lie in (0, 1e-6]")
     return cfg
 
 
@@ -200,8 +184,10 @@ def _spec_and_fit(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None]:
     fit = gaussian_fit(expand(spec_at(0.0), cfg["tail_eps"]))
     kz, fits, converged = solve(fit), 1, False
     while not converged and fits < _KZ_MAX_FITS:
+        # a kz outside the domain is refused here; only a failed fit ends the loop
+        exp = expand(spec_at(kz), cfg["tail_eps"])
         try:
-            new = gaussian_fit(expand(spec_at(kz), cfg["tail_eps"]))
+            new = gaussian_fit(exp)
         except ValueError:
             break
         fits += 1
@@ -212,6 +198,7 @@ def _spec_and_fit(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None]:
 
 
 def cmd_spectral(cfg: dict) -> int:
+    """Spectral lines (energy, weight)."""
     spec, _ = make_spec(cfg)
     exp = expand(spec, cfg["tail_eps"])
     dataio.write_spectral_csv(cfg["out"], spectral_function(exp))
@@ -221,8 +208,7 @@ def cmd_spectral(cfg: dict) -> int:
 def _window(cfg: dict, spec: CatSpec, exp, fit: LevelFit | None, multiple: float,
             which: str) -> tuple[float, float]:
     """(tmin, tmax) from the config; tmax defaults to multiple * the period `which`."""
-    tmin = cfg.get("tmin", 0.0) or 0.0
-    tmax = cfg.get("tmax")
+    tmin, tmax = cfg["tmin"], cfg["tmax"]
     if tmax is None:
         # only fit when the user leaves the window to us; under ab_ratio the
         # solved fit gives the periods, the same n0 that timescales reports
@@ -233,6 +219,7 @@ def _window(cfg: dict, spec: CatSpec, exp, fit: LevelFit | None, multiple: float
 
 
 def cmd_survival(cfg: dict) -> int:
+    """The |C(t)| series."""
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
     tmin, tmax = _window(cfg, spec, exp, fit, 2.0, "T1")
@@ -245,6 +232,7 @@ def cmd_survival(cfg: dict) -> int:
 
 
 def cmd_timescales(cfg: dict) -> int:
+    """Fit report and the periods T1/T2/T3."""
     spec, info, fit = _spec_and_fit(cfg)
     if fit is None:
         fit = gaussian_fit(expand(spec, cfg["tail_eps"]))
@@ -265,18 +253,15 @@ def cmd_timescales(cfg: dict) -> int:
 
 
 def cmd_density(cfg: dict) -> int:
+    """Probability density on an (s,t) grid."""
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
-    smin = cfg.get("smin")
-    smax = cfg.get("smax")
-    if smin is None:
-        smin = -(spec.a + 6.0)
-    if smax is None:
-        smax = spec.a + 6.0
+    smin = -(spec.a + 6.0) if cfg["smin"] is None else cfg["smin"]
+    smax = spec.a + 6.0 if cfg["smax"] is None else cfg["smax"]
     # sample the band limit sqrt(2*n_max + 1) of the truncated expansion at
     # Nyquist, so the cat's interference fringes do not alias
     band = math.sqrt(2 * exp.n_max + 1)
-    ns = cfg.get("ns")
+    ns = cfg["ns"]
     if ns is None:
         ns = max(801, math.ceil((smax - smin) * band / math.pi) + 1)
     tmin, tmax = _window(cfg, spec, exp, fit, 3.0, "T1")
@@ -297,6 +282,7 @@ _EXPORTED_GENERATORS = (
 
 
 def cmd_observables(cfg: dict) -> int:
+    """Generator series, concurrence^2 and mutual information."""
     spec, _, fit = _spec_and_fit(cfg)
     exp = expand(spec, cfg["tail_eps"])
     tmin, tmax = _window(cfg, spec, exp, fit, 1.0, "T2")
@@ -314,7 +300,7 @@ def cmd_observables(cfg: dict) -> int:
 
 
 def cmd_validate(cfg: dict) -> int:
-    """Oracle suite: coefficient equivalence, selection rules, normalization."""
+    """Internal consistency suite: oracle coefficients, selection rules, normalization."""
     tol_env = os.environ.get("DIRAC_REVIVALS_TOL")
     tol = 1e-8
     if tol_env is not None:
@@ -383,13 +369,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if getattr(args, "complex_out", False):
-            cfg["complex_out"] = True
-        code = _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](resolve_config(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -139,6 +139,10 @@ def write_timescales_json(path: str, report: dict) -> None:
     for key in ("n0", "delta_n", "residual", "T1", "T2", "T3", "params"):
         if key in report:
             doc[key] = report[key]
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError:  # RFC 8259 has no Infinity or NaN: refuse before the file exists
+        bad = [f"{k} = {v}" for k, v in doc.items() if isinstance(v, float) and not np.isfinite(v)]
+        raise ValueError(f"{', '.join(bad)}: strict JSON has no Infinity or NaN") from None
     with _text_out(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

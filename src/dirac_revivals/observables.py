@@ -98,9 +98,6 @@ _MATRICES: dict[GeneratorId, np.ndarray] = {
     GeneratorId.GAMMA5_GAMMA_Z: _GAMMA5 @ _GAMMA["z"],
 }
 
-# gamma0 * Sigma_z enters the mutual information; it equals -gamma5 gamma_z
-_GAMMA0_SIGMA_Z = _GAMMA0 @ _SIGMA["z"]
-
 
 @dataclass(frozen=True)
 class ObservableSeries:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -113,6 +114,16 @@ class TestTimescales:
         out2 = tmp_path / "ts2.json"
         main(["timescales", "--a", "5", "--out", str(out2)])
         assert out2.read_text() == text
+
+    def test_infinite_period_is_refused_not_written(self, tmp_path, capsys):
+        # eB**2 and eB**3 underflow, so T2 and T3 are infinite; RFC 8259 JSON
+        # has no Infinity
+        out = tmp_path / "ts.json"
+        assert main(["timescales", "--mass", "1", "--eB", "1e-170",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "T2 = inf" in err and "T3 = inf" in err
+        assert not out.exists()
 
     def test_ab_ratio_solves_kz(self, tmp_path):
         out = tmp_path / "ts.json"
@@ -343,6 +354,14 @@ class TestDomain:
         assert f"{quantity} leaves the double range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solved_kz_outside_the_range_is_named(self, tmp_path, capsys):
+        # the refusal of the solved kz is not taken for a failed fit
+        out = tmp_path / "ts.json"
+        assert main(["timescales", "--ab-ratio", "1e300", "--out", str(out)]) == EXIT_CONFIG
+        assert ("E_n = sqrt(M^2 + kz^2 + 2 n eB) leaves the double range "
+                "(M = 0, kz = 4.94943e+300, eB = 1)") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_large_finite_mass_runs(self, tmp_path):
         out = tmp_path / "spectral.csv"
         with warnings.catch_warnings():
@@ -385,6 +404,22 @@ class TestConfigHandling:
 
     def test_antisymmetric_zero_distance(self):
         assert main(["spectral", "--symmetry", "A", "--a", "0"]) == EXIT_CONFIG
+
+    def test_format_flag_only_on_density(self, tmp_path):
+        out = tmp_path / "spectral.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", "--a", "3", "--format", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_config_file_format_outside_the_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# grid\nformat = xml\n")
+        out = tmp_path / "grid"
+        assert main(["density", "--config", str(cfg), "--nt", "3", "--ns", "5",
+                     "--tmax", "1", "--out", str(out)]) == EXIT_CONFIG
+        assert f"{cfg}:2: bad value for format: 'xml'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
@@ -436,3 +471,40 @@ def test_zero_count_is_refused(tmp_path, capsys, argv):
     assert main(argv + ["--a", "3", "--tmax", "5", "--out", str(out)]) == EXIT_CONFIG
     assert "need at least 2 samples" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestOptionTable:
+    """build_parser, read_config_file and resolve_config all derive from cli._OPTIONS."""
+
+    @staticmethod
+    def sample(kind, default):
+        """A value of the row's kind, different from its default, as text."""
+        if isinstance(kind, tuple):
+            return next(choice for choice in kind if choice != default)
+        return {float: "0.375", int: "7", str: "data.out"}[kind]
+
+    @pytest.mark.parametrize("key, kind, default, command", [
+        (key, kind, default, command)
+        for key, kind, default, commands, _ in cli._OPTIONS for command in commands
+    ])
+    def test_flag_and_config_file_agree(self, tmp_path, key, kind, default, command):
+        text = self.sample(kind, default)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key} = {text}\n")
+        parser = cli.build_parser()
+        by_flag = cli.resolve_config(parser.parse_args(
+            [command, "--" + key.replace("_", "-"), text]))
+        by_file = cli.resolve_config(parser.parse_args([command, "--config", str(cfg_path)]))
+        expected = text if isinstance(kind, tuple) else kind(text)
+        assert by_flag[key] == by_file[key] == expected != default
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_exactly_the_rows(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^\s+(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        expected = ["--help", "--config"] + [
+            "--" + key.replace("_", "-") for key, *_, commands, _ in cli._OPTIONS
+            if command in commands] + (["--complex"] if command == "survival" else [])
+        assert sorted(listed) == sorted(expected)
