@@ -17,6 +17,10 @@ import math
 import os
 import sys
 
+# before numpy's first import, so OpenBLAS starts no worker thread (~0.1 s of CPU
+# a process, no gain at a <= 20); a user's value wins, the library sets nothing
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import dataio
@@ -351,11 +355,10 @@ def cmd_validate(cfg: dict) -> int:
     record("selection_rule_leak", sel, max(tol, 1e-10))
 
     width = max(len(name) for name, *_ in checks)
-    ok_all = True
-    for name, value, bound, ok in checks:
-        ok_all &= ok
-        print(f"{name:<{width}}  {value:.3e} <= {bound:.3e}  {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok_all else EXIT_VALIDATION
+    with dataio._text_out(cfg["out"]) as fh:
+        fh.writelines(f"{name:<{width}}  {value:.3e} <= {bound:.3e}  {'PASS' if ok else 'FAIL'}\n"
+                      for name, value, bound, ok in checks)
+    return EXIT_OK if all(ok for *_, ok in checks) else EXIT_VALIDATION
 
 
 _COMMANDS = {

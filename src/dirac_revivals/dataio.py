@@ -39,11 +39,6 @@ def format_number(x: float) -> str:
     return _NUMBER % float(x)
 
 
-def _cells(values) -> list[str]:
-    """format_number over a 1-D array, one `%` per value on Python floats."""
-    return [_NUMBER % x for x in np.asarray(values, dtype=float).tolist()]
-
-
 @contextmanager
 def _text_out(path: str) -> Iterator[TextIO]:
     """The file at path opened for writing, or sys.stdout for "-"."""
@@ -61,8 +56,8 @@ def _write_header(fh: TextIO, header: Sequence[str]) -> None:
 def _write_table(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Schema line, header row, then row k joins value k of every column.
 
-    The rows are formatted and written _BLOCK at a time, so the strings of
-    one block are all that is held beyond the columns themselves.
+    Each block of _BLOCK rows is one `%` over its values in row-major order,
+    so one block's string is all that is held beyond the columns themselves.
     """
     rows = len(columns[0])
     for name, col in zip(header, columns):
@@ -71,9 +66,10 @@ def _write_table(path: str, header: Sequence[str], columns: Sequence[np.ndarray]
                              f"column {header[0]!r} has {rows}")
     with _text_out(path) as fh:
         _write_header(fh, header)
+        row = ",".join([_NUMBER] * len(columns)) + "\n"
         for i in range(0, rows, _BLOCK):
-            cells = [_cells(col[i:i + _BLOCK]) for col in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            block = np.stack([np.asarray(col[i:i + _BLOCK], dtype=float) for col in columns], 1)
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_spectral_csv(path: str, spectral: SpectralFunction) -> None:
@@ -99,15 +95,16 @@ def write_columns_csv(path: str, t: np.ndarray, columns: dict[str, np.ndarray]) 
 
 
 def write_grid_csv(path: str, grid: SpatialGrid2D) -> None:
-    """(s, t, value) triples, t-major then s, streamed one t at a time."""
+    """(s, t, value) triples, t-major then s, streamed as one `%` per t row."""
     if grid.values.shape != (grid.nt, grid.ns):
         raise ValueError(f"grid values have shape {grid.values.shape}, "
                          f"expected (nt, ns) = ({grid.nt}, {grid.ns})")
-    s = _cells(grid.s)
+    s = [format_number(x) for x in grid.s] + [""]
     with _text_out(path) as fh:
         _write_header(fh, ("s", "t", "value"))
-        for t, row in zip(_cells(grid.t), grid.values):
-            fh.writelines(f"{x},{t},{v}\n" for x, v in zip(s, _cells(row)))
+        for t, row in zip(grid.t, np.asarray(grid.values, dtype=float)):
+            # s_0 + sep + s_1 + ... + sep: one "s_j,t,%.17g\n" line per s
+            fh.write(f",{format_number(t)},{_NUMBER}\n".join(s) % tuple(row.tolist()))
 
 
 def write_grid_json(path: str, grid: SpatialGrid2D) -> None:

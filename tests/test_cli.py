@@ -34,6 +34,72 @@ def test_import_loads_numpy_only():
     assert done.stdout == "[]\n"
 
 
+# the public names in their order in dirac_revivals.__all__
+PUBLIC = [
+    "A_MAX", "CatExpansion", "CatSpec", "LevelFit", "SpectralFunction",
+    "expand", "expand_oracle", "gaussian_fit", "initial_profile", "spectral_function",
+    "SpatialGrid2D", "density_closed_form", "density_grid", "probability_density",
+    "TimeScales", "TimeSeries", "autocorrelation_series", "evolve_profile",
+    "kz_for_ab_ratio", "survival_amplitude", "survival_series", "time_scales",
+    "LevelIndex", "OneParticleParams", "PhysicalParams", "energy",
+    "energy_derivatives", "one_particle_params", "spinor",
+    "HermiteScale", "find_peaks", "hermite_fn", "hermite_table",
+    "GeneratorId", "ObservableSeries", "closed_form_series", "concurrence_sq",
+    "correlation_series", "expectation_series", "expectation_values",
+    "generator_matrix", "matrix_element", "matrix_elements", "mutual_information",
+]
+
+
+def fresh(code, **env):
+    """stdout of code in a fresh interpreter, under an environment built here.
+
+    This process imported the CLI, so its own environment holds the CLI's
+    OPENBLAS_NUM_THREADS; the child starts without it unless env sets it.
+    """
+    src = os.path.dirname(os.path.dirname(dirac_revivals.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(base, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestStartup:
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        code = ("import os, sys, dirac_revivals; "
+                "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert fresh(code) == "False None\n"
+
+    def test_public_names_resolve_in_order(self):
+        code = ("import json, dirac_revivals as dr; ns = {}; "
+                "exec('from dirac_revivals import *', ns); del ns['__builtins__']; "
+                "same = all(ns[n] is getattr(dr, n) for n in dr.__all__); "
+                "print(json.dumps([dr.__all__, list(ns), same]))")
+        names, bound, same = json.loads(fresh(code))
+        assert names == bound == PUBLIC
+        assert same
+        for name in PUBLIC[1:]:  # the object its defining submodule holds (A_MAX is a float)
+            obj = getattr(dirac_revivals, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_unknown_name_raises_attribute_error(self):
+        code = ("import dirac_revivals\n"
+                "try:\n    dirac_revivals.no_such_name\n"
+                "except AttributeError as exc:\n    print(exc)")
+        assert fresh(code) == "module 'dirac_revivals' has no attribute 'no_such_name'\n"
+
+    def test_cli_runs_one_blas_thread(self):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to count the process's threads")
+        code = ("import os, dirac_revivals.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+        assert fresh(code) == "1 1\n"
+
+    def test_user_thread_count_wins(self):
+        code = "import os, dirac_revivals.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh(code, OPENBLAS_NUM_THREADS="3") == "3\n"
+
+
 def run(tmp_path, *argv):
     return main(list(argv))
 
@@ -294,6 +360,17 @@ class TestValidate:
     def test_absurd_tolerance_fails(self, monkeypatch):
         monkeypatch.setenv("DIRAC_REVIVALS_TOL", "1e-30")
         assert main(["validate", "--a", "3"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("tol, code", [(None, EXIT_OK), ("1e-30", EXIT_VALIDATION)])
+    def test_out_file_holds_the_printed_table(self, tmp_path, capsys, monkeypatch, tol, code):
+        if tol is not None:
+            monkeypatch.setenv("DIRAC_REVIVALS_TOL", tol)
+        assert main(["validate", "--a", "3"]) == code
+        printed = capsys.readouterr().out
+        out = tmp_path / "v.txt"
+        assert main(["validate", "--a", "3", "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
 
     def test_corrupt_tolerance_is_config_error(self, monkeypatch):
         monkeypatch.setenv("DIRAC_REVIVALS_TOL", "not-a-number")

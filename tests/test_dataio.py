@@ -136,3 +136,60 @@ def test_columns_of_unequal_length_rejected(tmp_path, length):
     with pytest.raises(ValueError, match=rf"'x' has {length} values, column 't' has 3"):
         write_columns_csv(str(out), np.arange(3.0), {"x": np.arange(float(length))})
     assert not out.exists()
+
+
+# every spelling %.17g has for a double: nan, both infinities, signed zero,
+# the smallest subnormal, the largest finite double and inexact decimals
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                    0.1, 1.0 / 3.0])
+FINITE = SPECIAL[np.isfinite(SPECIAL)]
+# empty, one row, and either side of one and two _BLOCK boundaries
+LENGTHS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+def _cycle(values, n, shift=0):
+    return np.resize(np.roll(values, shift), n)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_spectral_bytes_value_by_value(tmp_path, n):
+    lines = list(zip(_cycle(SPECIAL, n).tolist(), _cycle(SPECIAL, n, 3).tolist()))
+    out = tmp_path / "spec.csv"
+    write_spectral_csv(str(out), SpectralFunction(lines=lines))
+    assert out.read_bytes() == reference(["energy", "weight"], lines).encode()
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_series_bytes_value_by_value(tmp_path, n):
+    # a TimeSeries refuses non-finite values, so the series cycle the finite ones
+    real = TimeSeries(t0=-0.0, dt=0.1, values=_cycle(FINITE, n))
+    out = tmp_path / "s.csv"
+    write_series_csv(str(out), real, "abs_C")
+    assert out.read_bytes() == reference(["t", "abs_C"], zip(real.times, real.values)).encode()
+
+    z = _cycle(FINITE, n) + 1j * _cycle(FINITE, n, 2)
+    cplx = TimeSeries(t0=1.0 / 3.0, dt=0.1, values=z)
+    write_series_csv(str(out), cplx)
+    rows = [(t, v.real, v.imag, abs(complex(v))) for t, v in zip(cplx.times, z)]
+    assert out.read_bytes() == reference(["t", "re", "im", "abs"], rows).encode()
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_columns_bytes_value_by_value(tmp_path, n):
+    t = _cycle(SPECIAL, n)
+    columns = {f"c{k}": _cycle(SPECIAL, n, k) for k in range(1, 9)}
+    out = tmp_path / "o.csv"
+    write_columns_csv(str(out), t, columns)
+    assert out.read_bytes() == reference(["t", *columns], zip(t, *columns.values())).encode()
+
+
+@pytest.mark.parametrize("nt, ns", [(len(SPECIAL), len(SPECIAL)), (2, _BLOCK + 1), (3, 1),
+                                    (2, 0)])
+def test_grid_bytes_value_by_value(tmp_path, nt, ns):
+    values = np.stack([_cycle(SPECIAL, ns, i) for i in range(nt)])
+    grid = SpatialGrid2D(s_min=-1.0 / 3.0, s_max=0.1, ns=ns, t_min=-0.0, t_max=5e-324,
+                         nt=nt, values=values)
+    out = tmp_path / "g.csv"
+    write_grid_csv(str(out), grid)
+    rows = [(grid.s[j], t, values[i, j]) for i, t in enumerate(grid.t) for j in range(ns)]
+    assert out.read_bytes() == reference(["s", "t", "value"], rows).encode()
