@@ -19,12 +19,11 @@ _SUBMODULE = {name: module for module, names in {
     "density": "SpatialGrid2D density_closed_form density_grid probability_density",
     "evolution": "TimeScales TimeSeries autocorrelation_series evolve_profile kz_for_ab_ratio "
                  "survival_amplitude survival_series time_scales",
-    "landau": "LevelIndex OneParticleParams PhysicalParams energy energy_derivatives "
-              "one_particle_params spinor",
-    "numerics": "HermiteScale find_peaks hermite_fn hermite_table",
+    "landau": "PhysicalParams energy energy_derivatives",
+    "numerics": "find_peaks hermite_table",
     "observables": "GeneratorId ObservableSeries closed_form_series concurrence_sq "
-                   "correlation_series expectation_series expectation_values generator_matrix "
-                   "matrix_element matrix_elements mutual_information",
+                   "correlation_series expectation_series expectation_values matrix_elements "
+                   "mutual_information",
 }.items() for name in names.split()}
 __all__ = list(_SUBMODULE)
 

@@ -278,16 +278,16 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
     the oscillator-index axis m = n-1 against the two-parameter profile
     (2/(dn sqrt(pi))) exp(-((m-n0)/dn)^2); the leading 2 accounts for the
     parity-selected spacing of the samples.  Returns the center, width and
-    RMS residual.
+    RMS residual.  With fewer than 5 levels above the threshold (small a)
+    the two parameters are not identifiable, and the fit returns the moment
+    estimates that seed the solver: n0 = the weighted mean of m and
+    delta_n = sqrt(2 var), with the residual of the model there.  A center
+    n0 <= 0 (the S state at a = 0) is refused.
     """
     m = exp.levels.astype(float) - 1.0
-    y = exp.weight_positive.copy()
-    if not np.any(y > 0.0):  # pure negative-branch content cannot happen, but guard
-        y = exp.level_weights.copy()
+    y = exp.weight_positive  # y.max() > 0: eta_n >= 1/2 on every level
     keep = y > min_weight * y.max()
     m, y = m[keep], y[keep]
-    if m.size < 5:
-        raise ValueError(f"need at least 5 levels above threshold, got {m.size}")
     y = y / y.sum()
 
     mean = float((m * y).sum())
@@ -303,7 +303,7 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
     # on a relative step of 1e-13 or after 200 trial steps
     q, mu = np.array([mean, width]), 1e-3
     r, J = model(q)
-    for _ in range(200):
+    for _ in range(200 if m.size >= 5 else 0):  # fewer levels keep the moments
         JtJ = J.T @ J
         step = np.linalg.solve(JtJ + mu * np.diag(np.diag(JtJ)), -(J.T @ r))
         r_new, J_new = model(q + step)

@@ -143,7 +143,7 @@ def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int
 
 def _level_rows(exp: CatExpansion, s) -> tuple[np.ndarray, np.ndarray]:
     """(F_{n-1}, F_n) of every kept level n on the grid s: one Hermite table."""
-    table = hermite_table(int(exp.levels.max()), np.atleast_1d(s), exp.spec.params.scale)
+    table = hermite_table(int(exp.levels.max()), np.atleast_1d(s), exp.spec.params.eB)
     return table[exp.levels - 1], table[exp.levels]
 
 

@@ -15,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HermiteScale, hermite_table
-
 __all__ = [
     "LABELS",
     "PhysicalParams",
-    "LevelIndex",
-    "OneParticleParams",
     "energy",
-    "one_particle_params",
     "energy_derivatives",
-    "spinor",
 ]
 
 # the (r, nu) labels of one level, in the column order of every oracle array
@@ -34,57 +28,20 @@ LABELS = ((1, "+"), (1, "-"), (2, "+"), (2, "-"))
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Hamiltonian inputs in natural units (hbar = c = 1).
-
-    ky enters only the coordinate shift absorbed into s and stays 0 for
-    all cat-state work.
-    """
+    """Hamiltonian inputs in natural units (hbar = c = 1)."""
 
     M: float = 0.0
     kz: float = 0.0
     eB: float = 1.0
-    ky: float = 0.0
 
     def __post_init__(self) -> None:
         if self.M < 0.0:
             raise ValueError(f"mass must be >= 0, got {self.M}")
         if not (self.eB > 0.0):
             raise ValueError(f"eB must be positive, got {self.eB}")
-        for name in ("M", "kz", "eB", "ky"):
+        for name in ("M", "kz", "eB"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def scale(self) -> HermiteScale:
-        return HermiteScale(self.eB)
-
-
-@dataclass(frozen=True)
-class LevelIndex:
-    """Landau eigenstate label: principal n >= 1, branch r in {1,2}, spin nu."""
-
-    n: int
-    r: int
-    nu: str
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"principal quantum number must be >= 1, got {self.n}")
-        if self.r not in (1, 2):
-            raise ValueError(f"intrinsic-parity branch must be 1 or 2, got {self.r}")
-        if self.nu not in ("+", "-"):
-            raise ValueError(f"spin label must be '+' or '-', got {self.nu!r}")
-
-
-@dataclass(frozen=True)
-class OneParticleParams:
-    A: float
-    B: float
-    eta: float
-
-    def constraint_residual(self) -> float:
-        """eta*(A^2 + B^2 + 1) - 1; vanishes identically for exact inputs."""
-        return self.eta * (self.A * self.A + self.B * self.B + 1.0) - 1.0
 
 
 def energy(n, p: PhysicalParams):
@@ -95,15 +52,6 @@ def energy(n, p: PhysicalParams):
     with np.errstate(over="ignore"):  # an infinite E_n is refused by _params_arrays
         out = np.sqrt(p.M * p.M + p.kz * p.kz + 2.0 * n * p.eB)
     return out if out.ndim else float(out)
-
-
-def one_particle_params(n, p: PhysicalParams) -> OneParticleParams:
-    """A_n = kz/(E_n+M), B_n = sqrt(2 n eB)/(E_n+M), eta_n = (E_n+M)/(2 E_n)."""
-    n = float(n)
-    if n < 1.0:
-        raise ValueError(f"one-particle parameters need n >= 1, got {n}")
-    _, A, B, eta = _params_arrays(n, p)
-    return OneParticleParams(A=float(A), B=float(B), eta=float(eta))
 
 
 def energy_derivatives(n0: float, p: PhysicalParams) -> tuple[float, float, float]:
@@ -131,7 +79,11 @@ def _power(name: str, x: float, k: int, divisor: bool = False) -> float:
 
 
 def _params_arrays(n, p: PhysicalParams):
-    """(E, A, B, eta) of level(s) n: the one source of these expressions."""
+    """(E, A, B, eta) of level(s) n: the one source of these expressions.
+
+    A_n = kz/(E_n+M), B_n = sqrt(2 n eB)/(E_n+M), eta_n = (E_n+M)/(2 E_n),
+    so eta_n (1 + A_n^2 + B_n^2) = 1.
+    """
     E = energy(n, p)
     if not np.isfinite(E).all():
         raise ValueError(f"E_n = sqrt(M^2 + kz^2 + 2 n eB) leaves the double range "
@@ -146,7 +98,8 @@ def _component_table(labels, n, p: PhysicalParams):
     """Spinor component tables of the (r, nu) labels, vectorised over levels n.
 
     Returns (coef, offset): coef has shape n.shape + (len(labels), 4), and
-    component j of label k sits on F_{n-1+offset[k, j]}.
+    component j of label k sits on F_{n-1+offset[k, j]}.  The spinor
+    u^nu_{n,r}(s) is coef times those F; it has unit norm under ds/sqrt(eB).
     """
     _, A, B, eta = _params_arrays(n, p)
     se = np.sqrt(eta)
@@ -159,9 +112,3 @@ def _component_table(labels, n, p: PhysicalParams):
     }
     coef = np.stack([np.stack(rows[lab][0], axis=-1) for lab in labels], axis=-2)
     return coef, np.array([rows[lab][1] for lab in labels])
-
-
-def spinor(level: LevelIndex, s: float, p: PhysicalParams) -> np.ndarray:
-    """Four real components of u^nu_{n,r}(s); unit norm under ds/sqrt(eB)."""
-    coef, offset = _component_table([(level.r, level.nu)], level.n, p)
-    return coef[0] * hermite_table(level.n, [float(s)], p.scale)[level.n - 1 + offset[0], 0]

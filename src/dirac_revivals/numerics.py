@@ -8,9 +8,9 @@ evaluated by one three-term recurrence on the normalized functions
 themselves (never on raw H_n or n!).  It carries a binary exponent per
 column, so every value that fits a double comes out right, also where the
 envelope exp(-s^2/2) alone underflows (large |s|, n ~ 10^4); see Bunck,
-BIT 49 (2009).  The grid table and the scalar value derive from it, and so
-do the Christoffel numbers of the Gauss-Hermite rule, whose nodes are the
-eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
+BIT 49 (2009).  The Christoffel numbers of the Gauss-Hermite rule derive
+from it too; the rule's nodes are the eigenvalues of the Jacobi matrix
+(Golub & Welsch, Math. Comp. 23, 1969).
 A peak finder rounds out the toolbox; all are pure functions with no shared
 mutable state.
 """
@@ -18,13 +18,10 @@ mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "HermiteScale",
-    "hermite_fn",
     "hermite_table",
     "find_peaks",
 ]
@@ -32,21 +29,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _HUGE_EXP = 600
 _HUGE = 2.0 ** _HUGE_EXP
-
-
-@dataclass(frozen=True)
-class HermiteScale:
-    """Magnetic length scale: F_n carries an (eB)^(1/4) amplitude factor."""
-
-    eB: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.eB > 0.0) or not math.isfinite(self.eB):
-            raise ValueError(f"eB must be positive and finite, got {self.eB}")
-
-    @property
-    def amplitude(self) -> float:
-        return self.eB ** 0.25
 
 
 def _christoffel_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,20 +48,11 @@ def _christoffel_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 1.0 / np.square(hermite_table(k - 1, x)).sum(axis=0)
 
 
-def hermite_fn(n: int, s: float, scale: HermiteScale | None = None) -> float:
-    """Evaluate the orthonormal Hermite function F_n(s): row n of a one-column table.
-
-    Correct even where the Gaussian envelope exp(-s^2/2) alone underflows
-    doubles while F_n itself is O(1) (large n, |s| inside the classical
-    region).
-    """
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    return float(hermite_table(n, [float(s)], scale)[n, 0])
-
-
-def hermite_table(n_max: int, s: np.ndarray, scale: HermiteScale | None = None) -> np.ndarray:
+def hermite_table(n_max: int, s: np.ndarray, eB: float = 1.0) -> np.ndarray:
     """All F_0..F_{n_max} on a grid; shape (n_max+1,) + s.shape.
+
+    F_n(s) alone is hermite_table(n, [s])[n, 0].  Every row carries the
+    (eB)^(1/4) amplitude of the magnetic length scale.
 
     The one recurrence behind every Hermite shape:
     F_{k+1} = s*sqrt(2/(k+1)) F_k - sqrt(k/(k+1)) F_{k-1}, seeded with
@@ -90,6 +63,10 @@ def hermite_table(n_max: int, s: np.ndarray, scale: HermiteScale | None = None) 
     ldexp.  Columns that need neither run the plain recurrence, bit for bit.
     So any finite s works, and values below the double range read 0.
     """
+    if n_max < 0:
+        raise ValueError(f"order must be >= 0, got {n_max}")
+    if not (eB > 0.0) or not math.isfinite(eB):
+        raise ValueError(f"eB must be positive and finite, got {eB}")
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("s must be finite (no NaN or inf)")
@@ -112,7 +89,7 @@ def hermite_table(n_max: int, s: np.ndarray, scale: HermiteScale | None = None) 
             expo[big] += _HUGE_EXP
     if expo.any():
         out[done:] = np.ldexp(out[done:], expo)
-    amp = scale.amplitude if scale is not None else 1.0
+    amp = eB ** 0.25
     if amp != 1.0:
         out *= amp
     return out

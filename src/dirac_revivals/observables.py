@@ -6,9 +6,9 @@ closed-form series they must reproduce.  Parity selection makes every
 constant generator block out levels with n != m here, so the engine sums
 one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
 labels; the F_k are orthonormal, so within a level two spinor components
-meet only on equal Hermite orders.  `matrix_element` evaluates the same
-bilinears by Gauss-Hermite quadrature and serves as the independent oracle;
-`matrix_elements` gives every level and label pair at once.
+meet only on equal Hermite orders.  `matrix_elements` evaluates the same
+bilinears for every level and label pair by Gauss-Hermite quadrature and
+serves as the independent oracle.
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -23,15 +23,13 @@ from enum import Enum
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import LABELS, LevelIndex, PhysicalParams, _component_table
+from .landau import LABELS, PhysicalParams, _component_table
 from .evolution import TimeSeries, _block_rows, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
     "GeneratorId",
     "ObservableSeries",
-    "generator_matrix",
-    "matrix_element",
     "matrix_elements",
     "expectation_series",
     "expectation_values",
@@ -105,11 +103,6 @@ class ObservableSeries:
     series: TimeSeries
 
 
-def generator_matrix(g: GeneratorId) -> np.ndarray:
-    """The constant 4x4 Hermitian matrix of a generator id."""
-    return _MATRICES[g].copy()
-
-
 def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
     """Quadrature <u_a|Gamma|u_b> over every (level, label) pair, shape (L, 4, L, 4).
 
@@ -130,12 +123,6 @@ def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
     gram = ((F * lam) @ F.T)[np.ix_(order, order)].reshape(coef.shape + coef.shape)
     left = coef[..., None] * _MATRICES[g]  # (L, 4, 4, 4): coefficient times row of Gamma
     return np.einsum("kaij,lbj,kailbj->kalb", left, coef, gram)
-
-
-def matrix_element(g: GeneratorId, lv1: LevelIndex, lv2: LevelIndex, p: PhysicalParams) -> complex:
-    """Quadrature evaluation of the bilinear between two basis spinors."""
-    el = matrix_elements(g, [lv1.n, lv2.n], p)
-    return complex(el[0, LABELS.index((lv1.r, lv1.nu)), 1, LABELS.index((lv2.r, lv2.nu))])
 
 
 _LABELS = ((1, "+"), (2, "+"), (2, "-"))

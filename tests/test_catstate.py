@@ -10,7 +10,7 @@ from dirac_revivals.catstate import (CatSpec, expand, expand_oracle, gaussian_fi
                                      profile_norm, spectral_function)
 from dirac_revivals.density import density_grid
 from dirac_revivals.evolution import survival_amplitude, time_scales
-from dirac_revivals.landau import PhysicalParams, one_particle_params
+from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import hermite_table
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
@@ -155,11 +155,9 @@ class TestOracleEquivalence:
         levels, raw = oracle_raw_overlaps(spec, 30)
         assert raw.shape == (30, 4) and list(levels) == list(range(1, 31))
         assert np.all(raw[:, 1] == 0.0)
-        q = [one_particle_params(n, p) for n in levels]
-        ratio_B = np.array([x.B for x in q])
-        ratio_A = np.array([-x.A for x in q])
-        assert np.abs(raw[:, 2] - ratio_B * raw[:, 0]).max() <= 1e-15
-        assert np.abs(raw[:, 3] - ratio_A * raw[:, 0]).max() <= 1e-15
+        _, A, B, _ = _params_arrays(levels, p)
+        assert np.abs(raw[:, 2] - B * raw[:, 0]).max() <= 1e-15
+        assert np.abs(raw[:, 3] + A * raw[:, 0]).max() <= 1e-15
 
     def test_parseval_against_profile_norm(self):
         # raw squared overlaps must resum to the squared norm of the raw profile
@@ -247,9 +245,19 @@ class TestGaussianFit:
         fit = gaussian_fit(expand(CatSpec("S", 5.0, MASSLESS)))
         assert 0.0 < fit.residual < 0.05
 
-    def test_too_few_levels(self):
-        with pytest.raises(ValueError):
-            gaussian_fit(expand(CatSpec("S", 0.3, MASSLESS)))
+    def test_few_levels_keep_the_moment_estimates(self):
+        # a = 0.3 leaves m = 0, 2, 4 above the threshold: too few for two
+        # parameters, so the fit returns the Poisson moments it would start from
+        lam = 0.5 * 0.3 ** 2
+        m = np.array([0.0, 2.0, 4.0])
+        w = lam ** m / np.array([1.0, 2.0, 24.0])
+        w /= w.sum()
+        mean = float((m * w).sum())
+        fit = gaussian_fit(expand(CatSpec("S", 0.3, MASSLESS)))
+        assert fit.n0 == pytest.approx(mean, rel=1e-12)
+        assert fit.delta_n == pytest.approx(math.sqrt(2.0 * float(((m - mean) ** 2 * w).sum())),
+                                            rel=1e-12)
+        assert fit.residual == pytest.approx(6.663008905668285, rel=1e-12)
 
     def test_fit_independent_of_kz(self):
         # level weights carry no kz dependence, so neither does the fit

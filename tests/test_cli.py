@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dirac_revivals
 from dirac_revivals import catstate, cli, observables
@@ -41,12 +43,11 @@ PUBLIC = [
     "SpatialGrid2D", "density_closed_form", "density_grid", "probability_density",
     "TimeScales", "TimeSeries", "autocorrelation_series", "evolve_profile",
     "kz_for_ab_ratio", "survival_amplitude", "survival_series", "time_scales",
-    "LevelIndex", "OneParticleParams", "PhysicalParams", "energy",
-    "energy_derivatives", "one_particle_params", "spinor",
-    "HermiteScale", "find_peaks", "hermite_fn", "hermite_table",
+    "PhysicalParams", "energy", "energy_derivatives",
+    "find_peaks", "hermite_table",
     "GeneratorId", "ObservableSeries", "closed_form_series", "concurrence_sq",
     "correlation_series", "expectation_series", "expectation_values",
-    "generator_matrix", "matrix_element", "matrix_elements", "mutual_information",
+    "matrix_elements", "mutual_information",
 ]
 
 
@@ -62,6 +63,13 @@ def fresh(code, **env):
     done = subprocess.run([sys.executable, "-c", code], env=dict(base, PYTHONPATH=path, **env),
                           capture_output=True, text=True, check=True)
     return done.stdout
+
+
+def test_readme_library_sketch_runs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        sketch = re.search(r"^## Library sketch\n\n```python\n(.*?)^```$", fh.read(), re.S | re.M)
+    fresh(sketch.group(1))
 
 
 class TestStartup:
@@ -151,7 +159,7 @@ class TestSurvival:
         assert rows[0, 0] == 0.0 and abs(rows[0, 1] - 1.0) < 1e-12
 
     def test_point_state_with_explicit_window(self, tmp_path):
-        # a = 0 leaves too few levels for the fit; explicit windows bypass it
+        # the fit refuses the S state at a = 0 (center n0 = 0); explicit windows bypass it
         out = tmp_path / "s.csv"
         assert main(["survival", "--a", "0", "--mass", "5", "--tmax", "20",
                      "--samples", "400", "--out", str(out)]) == EXIT_OK
@@ -446,6 +454,24 @@ class TestDomain:
             assert main(["spectral", "--mass", "1e150", "--out", str(out)]) == EXIT_OK
         assert len(read_csv(out)[1]) > 0
 
+    @given(sym=st.sampled_from("SA"), a=st.floats(0.0, 1.0, exclude_min=True),
+           mass=st.sampled_from([0.0, 1.0, 5.0]), ab_ratio=st.floats(0.5, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_small_separation_has_finite_periods(self, sym, a, mass, ab_ratio):
+        # fewer than 5 levels: the fit keeps its moment estimates.  Below
+        # a ~ 5.3e-3 only m = 0 of the S state passes the fit threshold, so
+        # n0 = 0 and it is refused as at a = 0
+        assume(sym == "A" or a >= 0.006)
+        cfg = {"symmetry": sym, "a": a, "mass": mass, "eB": 1.0, "kz": None,
+               "ab_ratio": ab_ratio, "tail_eps": 1e-12}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            spec, _ = cli.make_spec(cfg)
+            fit = gaussian_fit(expand(spec, cfg["tail_eps"]))
+            scales = time_scales(fit.n0, spec.params)
+        assert math.isfinite(fit.n0) and fit.n0 > 0.0
+        assert all(math.isfinite(T) for T in (scales.T1, scales.T2, scales.T3))
+
     def test_separation_at_the_limit_runs(self, tmp_path):
         out = tmp_path / "spectral.csv"
         assert main(["spectral", "--a", repr(A_MAX), "--out", str(out)]) == EXIT_OK
@@ -481,6 +507,10 @@ class TestConfigHandling:
 
     def test_antisymmetric_zero_distance(self):
         assert main(["spectral", "--symmetry", "A", "--a", "0"]) == EXIT_CONFIG
+
+    def test_symmetric_zero_distance_has_no_fit(self, capsys):
+        assert main(["timescales", "--a", "0"]) == EXIT_CONFIG
+        assert "nonpositive center" in capsys.readouterr().err
 
     def test_format_flag_only_on_density(self, tmp_path):
         out = tmp_path / "spectral.csv"

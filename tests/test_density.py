@@ -139,9 +139,9 @@ class TestGrid:
         calls = []
         table = evolution.hermite_table
 
-        def counted(n_max, s, scale=None):
+        def counted(n_max, s, eB=1.0):
             calls.append(n_max)
-            return table(n_max, s, scale)
+            return table(n_max, s, eB)
 
         monkeypatch.setattr(evolution, "hermite_table", counted)
         grid = density_grid(exp, -11.0, 11.0, 301, 0.0, sc.T1, 7)

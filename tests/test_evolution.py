@@ -12,7 +12,7 @@ from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profi
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
                                       evolve_profile, kz_for_ab_ratio,
                                       survival_amplitude, survival_series, time_scales)
-from dirac_revivals.landau import PhysicalParams, one_particle_params
+from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import find_peaks
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
@@ -47,11 +47,11 @@ class TestTimeScales:
     def test_kz_solver(self):
         n0 = 12.25
         kz = kz_for_ab_ratio(2.04, n0, 1.0)
-        q = one_particle_params(n0, PhysicalParams(M=0.0, kz=kz, eB=1.0))
-        assert q.A / q.B == pytest.approx(2.04, rel=1e-12)
+        _, A, B, _ = _params_arrays(n0, PhysicalParams(M=0.0, kz=kz, eB=1.0))
+        assert A / B == pytest.approx(2.04, rel=1e-12)
         # mass independence of the ratio
-        qm = one_particle_params(n0, PhysicalParams(M=3.0, kz=kz, eB=1.0))
-        assert qm.A / qm.B == pytest.approx(2.04, rel=1e-12)
+        _, A, B, _ = _params_arrays(n0, PhysicalParams(M=3.0, kz=kz, eB=1.0))
+        assert A / B == pytest.approx(2.04, rel=1e-12)
 
 
 class TestSurvivalAmplitude:
@@ -83,7 +83,7 @@ class TestSurvivalAmplitude:
         # so |C| swings exactly between 2*eta_1-1 and 1
         p = PhysicalParams(M=5.0)
         exp = expand(CatSpec("S", 0.0, p))
-        eta1 = one_particle_params(1, p).eta
+        _, _, _, eta1 = _params_arrays(1, p)
         ts = np.linspace(0.0, 50.0, 40001)
         mag = np.abs(survival_amplitude(exp, ts))
         assert mag.max() <= 1.0 + 1e-12
@@ -134,7 +134,7 @@ class TestSurvivalSeries:
         assert np.array_equal(np.abs(block[0]), full) and np.array_equal(np.abs(block[1]), full)
 
     def test_memory_bounded_by_the_block(self):
-        # a = 20 (155 levels) over 120,001 times: the whole (T, L) phase
+        # a = 20 (101 levels) over 120,001 times: the whole (T, L) phase
         # matrix and its temporaries would take about 850 MB
         exp = expand(CatSpec("S", 20.0, MASSLESS))
         ts = np.linspace(0.0, 2000.0, 120001)

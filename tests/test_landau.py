@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_revivals.landau import (LevelIndex, PhysicalParams, _component_table, energy,
-                                   energy_derivatives, one_particle_params, spinor)
+from dirac_revivals.catstate import CatSpec, expand
+from dirac_revivals.evolution import evolve_profile
+from dirac_revivals.landau import (PhysicalParams, _component_table, _params_arrays, energy,
+                                   energy_derivatives)
+from dirac_revivals.numerics import hermite_table
 from dirac_revivals.observables import GeneratorId, matrix_elements
 
 
@@ -36,13 +39,13 @@ class TestEnergy:
 
 class TestOneParticleParams:
     def test_zero_kz_gives_zero_A(self):
-        for n in (1, 5, 40):
-            assert one_particle_params(n, PhysicalParams(M=2.0, kz=0.0)).A == 0.0
+        _, A, _, _ = _params_arrays(np.array([1, 5, 40]), PhysicalParams(M=2.0, kz=0.0))
+        assert np.all(A == 0.0)
 
     def test_massless_eta_half(self):
         for kz in (0.0, 3.0):
-            q = one_particle_params(7, PhysicalParams(M=0.0, kz=kz))
-            assert q.eta == pytest.approx(0.5, abs=1e-15)
+            _, _, _, eta = _params_arrays(7, PhysicalParams(M=0.0, kz=kz))
+            assert eta == pytest.approx(0.5, abs=1e-15)
 
     @given(n=st.integers(min_value=1, max_value=10000),
            M=st.floats(min_value=0.0, max_value=50.0),
@@ -50,15 +53,13 @@ class TestOneParticleParams:
            eB=st.floats(min_value=1e-3, max_value=50.0))
     @settings(max_examples=120, deadline=None)
     def test_constraint_identity(self, n, M, kz, eB):
-        q = one_particle_params(n, PhysicalParams(M=M, kz=kz, eB=eB))
-        assert abs(q.constraint_residual()) < 1e-12
-        assert 0.0 <= abs(q.A) <= 1.0 and 0.0 <= q.B <= 1.0
+        _, A, B, eta = _params_arrays(n, PhysicalParams(M=M, kz=kz, eB=eB))
+        assert abs(eta * (A * A + B * B + 1.0) - 1.0) < 1e-12
+        assert 0.0 <= abs(A) <= 1.0 and 0.0 <= B <= 1.0
 
     def test_monotone_in_n(self):
         p = PhysicalParams(M=1.0, kz=2.0, eB=1.0)
-        qs = [one_particle_params(n, p) for n in range(1, 80)]
-        A = np.array([q.A for q in qs])
-        B = np.array([q.B for q in qs])
+        _, A, B, _ = _params_arrays(np.arange(1, 80), p)
         assert np.all(np.diff(A) <= 1e-15)
         assert np.all(np.diff(B) >= -1e-15)
 
@@ -89,24 +90,29 @@ class TestSpinors:
 
     def test_heavy_mass_limit_components(self):
         p = PhysicalParams(M=1e4, kz=0.0, eB=1.0)
-        u = spinor(LevelIndex(1, 1, "+"), 0.0, p)
+        u = _component_table([(1, "+")], 1, p)[0][0]  # coefficients of u^+_{1,1}
         # A -> 0 and B -> 0: only the first component survives
         assert abs(u[1]) == 0.0 and abs(u[2]) < 1e-12
         assert abs(u[3]) < 1e-4 * abs(u[0])
 
     def test_pointwise_matches_tables(self):
+        # the evolved state is the sum of c e^{-+iEt} u(s) over the populated
+        # labels, each spinor u being its table row on its Hermite orders
         p = PhysicalParams(M=0.3, kz=-0.8, eB=2.0)
-        from dirac_revivals.numerics import hermite_fn
-        lv = LevelIndex(4, 2, "-")
-        coef, offset = _component_table([(lv.r, lv.nu)], lv.n, p)
-        u = spinor(lv, 0.9, p)
-        for i in range(4):
-            order = lv.n - 1 + int(offset[0, i])
-            assert u[i] == pytest.approx(coef[0, i] * hermite_fn(order, 0.9, p.scale), abs=1e-14)
+        exp = expand(CatSpec("A", 2.0, p))
+        s, t = 0.9, 1.7
+        coef, offset = _component_table([(1, "+"), (2, "+"), (2, "-")], exp.levels, p)
+        F = hermite_table(exp.n_max, [s], p.eB)[:, 0]
+        u = coef * F[exp.levels[:, None, None] - 1 + offset]  # (level, label, component)
+        phase = np.exp(-1j * exp.energies * t)
+        c = np.stack([exp.c_r1_plus * phase, exp.c_r2_plus * phase.conj(),
+                      exp.c_r2_minus * phase.conj()], axis=1)
+        got = evolve_profile(exp, [s], t)[:, 0]
+        assert np.abs(got - np.einsum("la,lai->i", c, u)).max() < 1e-14
 
     def test_level_zero_rejected(self):
-        with pytest.raises(ValueError):
-            LevelIndex(0, 1, "+")
+        with pytest.raises(ValueError, match="levels must be"):
+            matrix_elements(GeneratorId.IDENTITY, [0], PhysicalParams())
 
 
 class TestEnergyDerivatives:
@@ -147,7 +153,3 @@ def test_params_validation():
         PhysicalParams(M=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(eB=0.0)
-    with pytest.raises(ValueError):
-        LevelIndex(2, 3, "+")
-    with pytest.raises(ValueError):
-        LevelIndex(2, 1, "x")

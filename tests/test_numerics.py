@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_revivals.evolution import TimeSeries
-from dirac_revivals.numerics import (HermiteScale, _christoffel_rule, find_peaks, hermite_fn,
-                                     hermite_table)
+from dirac_revivals.numerics import _christoffel_rule, find_peaks, hermite_table
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -25,45 +24,52 @@ F50_AT_36_5 = 5.9805642003025626131e-237
 
 
 class TestHermiteFn:
+    """F_n(s) is the last row of the one-column table hermite_table(n, [s])."""
+
     def test_ground_state_at_origin(self):
-        assert hermite_fn(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-15)
+        assert hermite_table(0, [0.0])[0, 0] == pytest.approx(math.pi ** -0.25, abs=1e-15)
 
     def test_odd_function_vanishes_at_origin(self):
-        assert hermite_fn(1, 0.0) == 0.0
+        assert hermite_table(1, [0.0])[1, 0] == 0.0
 
     def test_high_order_against_extended_precision(self):
-        assert hermite_fn(200, 3.0) == pytest.approx(F200_AT_3, rel=1e-10)
-        assert hermite_fn(300, 0.7) == pytest.approx(F300_AT_0_7, rel=1e-10)
+        assert hermite_table(200, [3.0])[200, 0] == pytest.approx(F200_AT_3, rel=1e-10)
+        assert hermite_table(300, [0.7])[300, 0] == pytest.approx(F300_AT_0_7, rel=1e-10)
 
     def test_beyond_envelope_underflow_region(self):
         # true value is O(1) although exp(-s^2/2) alone underflows doubles
-        assert hermite_fn(10000, 141.4) == pytest.approx(F10000_AT_141_4, rel=1e-9)
+        assert hermite_table(10000, [141.4])[10000, 0] == pytest.approx(F10000_AT_141_4, rel=1e-9)
 
     def test_far_tail_underflows_to_zero(self):
-        assert hermite_fn(3, 60.0) == 0.0
+        assert hermite_table(3, [60.0])[3, 0] == 0.0
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            hermite_fn(2, float("nan"))
+            hermite_table(2, [float("nan")])
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_fn(-1, 0.0)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            hermite_table(-1, [0.0])
+
+    @pytest.mark.parametrize("eB", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_field_rejected(self, eB):
+        with pytest.raises(ValueError, match="eB must be positive and finite"):
+            hermite_table(2, [0.0], eB)
 
     @given(n=st.integers(min_value=0, max_value=60),
            s=st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
     @settings(max_examples=80, deadline=None)
     def test_parity(self, n, s):
-        left = hermite_fn(n, -s)
-        right = (-1.0) ** n * hermite_fn(n, s)
+        left = hermite_table(n, [-s])[n, 0]
+        right = (-1.0) ** n * hermite_table(n, [s])[n, 0]
         assert left == pytest.approx(right, abs=1e-13)
 
     def test_scale_covariance(self):
         # eB -> c*eB multiplies the function by c^(1/4) at fixed dimensionless s
         for n in (0, 3, 17):
             for c in (0.25, 2.0, 9.0):
-                base = hermite_fn(n, 1.3, HermiteScale(1.0))
-                scaled = hermite_fn(n, 1.3, HermiteScale(c))
+                base = hermite_table(n, [1.3], 1.0)[n, 0]
+                scaled = hermite_table(n, [1.3], c)[n, 0]
                 assert scaled == pytest.approx(c ** 0.25 * base, rel=1e-13)
 
     @pytest.mark.parametrize("n, s, ref", [(681, 38.0, F681_AT_38), (1009, 46.0, F1009_AT_46),
@@ -79,11 +85,12 @@ class TestHermiteFn:
         assert np.array_equal(table[:, ::-1], sign * table)
 
     def test_table_matches_scalar(self):
+        # a row of a grid table does not depend on n_max or on the other points
         s = np.linspace(-6.0, 6.0, 11)
         table = hermite_table(25, s)
         for n in (0, 1, 7, 25):
             for j, sv in enumerate(s):
-                assert table[n, j] == pytest.approx(hermite_fn(n, float(sv)), abs=1e-14)
+                assert table[n, j] == pytest.approx(hermite_table(n, [sv])[n, 0], abs=1e-14)
 
 
 def _gauss_hermite(k):

@@ -11,13 +11,12 @@ from dirac_revivals.cli import _EXPORTED_GENERATORS
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
                                       kz_for_ab_ratio, survival_amplitude, survival_series,
                                       time_scales)
-from dirac_revivals.landau import LABELS, LevelIndex, PhysicalParams, energy, one_particle_params
+from dirac_revivals.landau import LABELS, PhysicalParams, _params_arrays, energy
 from dirac_revivals.numerics import find_peaks
-from dirac_revivals.observables import (_CORRELATION_GENERATORS, _LABELS, GeneratorId,
-                                        _level_tables, closed_form_series, concurrence_sq,
-                                        correlation_series, expectation_series,
-                                        expectation_values, generator_matrix, matrix_element,
-                                        matrix_elements, mutual_information)
+from dirac_revivals.observables import (_CORRELATION_GENERATORS, _LABELS, _MATRICES,
+                                        GeneratorId, _level_tables, closed_form_series,
+                                        concurrence_sq, correlation_series, expectation_series,
+                                        expectation_values, matrix_elements, mutual_information)
 
 MASSLESS = PhysicalParams()
 ALL_GENERATORS = list(GeneratorId)
@@ -41,19 +40,19 @@ def fig7():
 class TestGeneratorAlgebra:
     def test_all_hermitian(self):
         for g in ALL_GENERATORS:
-            mat = generator_matrix(g)
+            mat = _MATRICES[g]
             assert np.abs(mat - mat.conj().T).max() == 0.0
 
     def test_sigma_z_is_gamma5_alpha_z(self):
-        g5 = generator_matrix(GeneratorId.GAMMA5)
-        az = generator_matrix(GeneratorId.ALPHA_Z)
-        sz = generator_matrix(GeneratorId.GAMMA5_ALPHA_Z)
+        g5 = _MATRICES[GeneratorId.GAMMA5]
+        az = _MATRICES[GeneratorId.ALPHA_Z]
+        sz = _MATRICES[GeneratorId.GAMMA5_ALPHA_Z]
         assert np.abs(g5 @ az - sz).max() == 0.0
 
     def test_gamma5_gamma_z_is_minus_gamma0_sigma_z(self):
-        g0 = generator_matrix(GeneratorId.GAMMA0)
-        sz = generator_matrix(GeneratorId.GAMMA5_ALPHA_Z)
-        g5gz = generator_matrix(GeneratorId.GAMMA5_GAMMA_Z)
+        g0 = _MATRICES[GeneratorId.GAMMA0]
+        sz = _MATRICES[GeneratorId.GAMMA5_ALPHA_Z]
+        g5gz = _MATRICES[GeneratorId.GAMMA5_GAMMA_Z]
         assert np.abs(g5gz + g0 @ sz).max() == 0.0
 
 
@@ -61,11 +60,10 @@ class TestMatrixElements:
     def test_gamma0_diagonal_value(self):
         # eta_1 (1 - A_1^2 - B_1^2) collapses to M/E_1 through the constraint
         p = PhysicalParams(M=1.0, kz=0.5, eB=1.0)
-        lv = LevelIndex(1, 1, "+")
-        got = matrix_element(GeneratorId.GAMMA0, lv, lv, p)
-        q = one_particle_params(1, p)
+        got = matrix_elements(GeneratorId.GAMMA0, [1], p)[0, 0, 0, 0]  # (r=1, nu=+) twice
+        _, A, B, eta = _params_arrays(1, p)
         assert got.imag == pytest.approx(0.0, abs=1e-14)
-        assert got.real == pytest.approx(q.eta * (1 - q.A ** 2 - q.B ** 2), abs=1e-12)
+        assert got.real == pytest.approx(eta * (1 - A ** 2 - B ** 2), abs=1e-12)
         assert got.real == pytest.approx(p.M / energy(1, p), abs=1e-12)
 
     def test_diagonal_generators_block_all_cross_levels(self):
@@ -78,22 +76,13 @@ class TestMatrixElements:
             el = matrix_elements(g, levels, p)  # every label pair of each level pair
             assert np.abs(el[rows, :, cols, :]).max() < 1e-10
 
-    def test_scalar_element_is_the_batched_entry(self):
-        p = PhysicalParams(M=0.8, kz=-0.4, eB=1.3)
-        for g in ALL_GENERATORS:
-            for n, m in ((2, 5), (5, 2), (4, 4)):
-                el = matrix_elements(g, [n, m], p)
-                for a, la in enumerate(LABELS):
-                    for b, lb in enumerate(LABELS):
-                        assert matrix_element(g, LevelIndex(n, *la), LevelIndex(m, *lb), p) \
-                            == el[0, a, 1, b]
-
     def test_same_parity_selection_all_generators(self):
         # within one parity class every constant generator blocks n != m
         p = PhysicalParams(M=0.5, kz=1.0, eB=1.0)
         for g in ALL_GENERATORS:
             for n, m in ((1, 3), (2, 6), (3, 7)):
-                el = matrix_element(g, LevelIndex(n, 1, "+"), LevelIndex(m, 2, "-"), p)
+                el = matrix_elements(g, [n, m], p)[0, LABELS.index((1, "+")), 1,
+                                                   LABELS.index((2, "-"))]
                 assert abs(el) < 1e-10
 
     @pytest.mark.parametrize("levels", ([0, 3], [], [[1, 2]]))
@@ -131,7 +120,7 @@ class TestMatrixElements:
         # alpha_x does connect adjacent (parity-breaking) levels; the cat
         # states never populate those pairs
         p = PhysicalParams(M=1.0, kz=0.5, eB=1.0)
-        el = matrix_element(GeneratorId.ALPHA_X, LevelIndex(2, 1, "+"), LevelIndex(3, 1, "+"), p)
+        el = matrix_elements(GeneratorId.ALPHA_X, [2, 3], p)[0, 0, 1, 0]  # (r=1, nu=+) twice
         assert abs(el) > 1e-3
 
 
@@ -215,7 +204,7 @@ class TestExpectationSeries:
         assert np.array_equal(block[:, 0], rows) and np.array_equal(block[:, 1], rows[:, ::-1])
 
     def test_memory_bounded_by_the_block(self):
-        # six generators at a = 20 (155 levels) over 20,000 times: whole
+        # six generators at a = 20 (101 levels) over 20,000 times: whole
         # (T, L) cos and sin tables would take about 50 MB
         exp = expand(CatSpec("S", 20.0, MASSLESS))
         ts = np.linspace(0.0, 300.0, 20000)
