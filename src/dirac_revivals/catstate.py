@@ -282,7 +282,7 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
     the two parameters are not identifiable, and the fit returns the moment
     estimates that seed the solver: n0 = the weighted mean of m and
     delta_n = sqrt(2 var), with the residual of the model there.  A center
-    n0 <= 0 (the S state at a = 0) is refused.
+    n0 <= 0 (the S state with m = 0 its only level above the threshold) is refused.
     """
     m = exp.levels.astype(float) - 1.0
     y = exp.weight_positive  # y.max() > 0: eta_n >= 1/2 on every level
@@ -314,6 +314,8 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
         if np.abs(step).max() <= 1e-13 * np.abs(q).max():
             break
     n0, dn = float(q[0]), abs(float(q[1]))
-    if n0 <= 0.0:
-        raise ValueError("degenerate fit: nonpositive center")
+    if n0 <= 0.0:  # the S state at a = 0, and below a ~ 5.3e-3 under min_weight = 1e-10
+        raise ValueError(f"degenerate fit: nonpositive center at a = {exp.spec.a:g}, symmetry "
+                         f"{exp.spec.symmetry}: only the m = 0 level carries more than "
+                         f"{min_weight:g} of the largest weight, so the mean level is 0")
     return LevelFit(n0=n0, delta_n=dn, residual=float(np.sqrt(np.mean(r ** 2))))

@@ -112,11 +112,17 @@ def write_grid_json(path: str, grid: SpatialGrid2D) -> None:
 
     The bytes are those of json.dump(doc, indent=1), written _BLOCK values
     at a time; each block goes through json's C encoder, with the item
-    separator of that indented layout.
+    separator of that indented layout.  RFC 8259 has no Infinity or NaN, so a
+    non-finite value is refused before the file exists.
     """
     head = {"schema": SCHEMA_VERSION, "s_min": grid.s_min, "s_max": grid.s_max,
             "ns": grid.ns, "t_min": grid.t_min, "t_max": grid.t_max, "nt": grid.nt}
     values = np.asarray(grid.values, dtype=float).ravel()
+    bad = [f"{key} = {value}" for key, value in head.items() if not np.isfinite(value)]
+    if not np.isfinite(values).all():
+        bad.append(f"{np.count_nonzero(~np.isfinite(values))} grid values")
+    if bad:
+        raise ValueError(f"{', '.join(bad)} not finite: strict JSON has no Infinity or NaN")
     with _text_out(path) as fh:
         fh.write("{\n")
         fh.writelines(f' "{key}": {json.dumps(value)},\n' for key, value in head.items())

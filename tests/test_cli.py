@@ -512,6 +512,17 @@ class TestConfigHandling:
         assert main(["timescales", "--a", "0"]) == EXIT_CONFIG
         assert "nonpositive center" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["timescales", "survival"])
+    def test_symmetric_small_a_names_the_limit(self, tmp_path, capsys, command):
+        # below a ~ 5.3e-3 the S state's m = 2 weight falls under the fit's
+        # 1e-10 threshold, so the mean level is 0 and no period exists
+        out = tmp_path / "out"
+        assert main([command, "--a", "0.004", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "a = 0.004, symmetry S" in err
+        assert "only the m = 0 level" in err and "mean level is 0" in err
+        assert not out.exists()
+
     def test_format_flag_only_on_density(self, tmp_path):
         out = tmp_path / "spectral.csv"
         with pytest.raises(SystemExit) as exc:

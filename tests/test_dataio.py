@@ -107,7 +107,6 @@ def _grid_values(nt, ns):
     _grid_values(5, len(EDGE)),
     _grid_values(3, _BLOCK + 7),   # crosses a block boundary
     np.zeros((2, 0)),
-    np.array([[0.5, np.nan], [np.inf, -np.inf]]),
 ])
 def test_grid_json_bytes(tmp_path, values):
     # streamed values, the bytes of json.dump(doc, indent=1) plus a newline
@@ -119,6 +118,20 @@ def test_grid_json_bytes(tmp_path, values):
     doc = {"schema": 1, "s_min": -1.0, "s_max": 1.0, "ns": ns, "t_min": 0.0,
            "t_max": 1.0 / 3.0, "nt": nt, "values": values.ravel().tolist()}
     assert out.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("values, bound, message", [
+    (np.array([[0.5, np.nan], [np.inf, -np.inf]]), 1.0, "3 grid values not finite"),
+    (np.zeros((2, 2)), np.inf, "s_max = inf not finite"),
+], ids=["nan-and-inf-values", "infinite-bound"])
+def test_grid_json_refuses_non_finite(tmp_path, values, bound, message):
+    # RFC 8259 has no NaN or Infinity: refused before the file exists
+    grid = SpatialGrid2D(s_min=-1.0, s_max=bound, ns=2, t_min=0.0, t_max=1.0, nt=2,
+                         values=values)
+    out = tmp_path / "g.json"
+    with pytest.raises(ValueError, match=message):
+        write_grid_json(str(out), grid)
+    assert not out.exists()
 
 
 def test_grid_of_wrong_shape_rejected(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profile
+from dirac_revivals import evolution
+from dirac_revivals.catstate import A_MAX, CatSpec, expand, gaussian_fit, initial_profile
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
                                       evolve_profile, kz_for_ab_ratio,
                                       survival_amplitude, survival_series, time_scales)
@@ -16,6 +17,11 @@ from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import find_peaks
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
+
+
+def _phase_rounding(exp, t0, t1):
+    """max|E| * max(|t0|, |t1|) * eps: the rounding of the phase argument E t."""
+    return np.abs(exp.energies).max() * max(abs(t0), abs(t1)) * np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -121,17 +127,29 @@ class TestSurvivalSeries:
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_against_chunking(self, cat5):
-        # same grid points evaluated one by one must be bit-identical, also
-        # on a grid that crosses the internal block boundaries
+        # the grid series is bit-identical however its time axis is blocked
+        # (down to one stride per block), also on a grid that crosses the
+        # internal block boundaries
+        cells = (1, evolution._STRIDE * len(cat5.levels) - 1, 2 ** 15, 2 ** 22)
         for samples in (301, 2 * _block_rows(len(cat5.levels)) + 1):
             ts = np.linspace(0.0, 30.0, samples)
-            full = survival_series(cat5, 0.0, 30.0, samples).values
+            full = survival_series(cat5, 0.0, 30.0, samples)
+            for block_cells in cells:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(evolution, "_BLOCK_CELLS", block_cells)
+                    assert np.array_equal(survival_series(cat5, 0.0, 30.0, samples).values,
+                                          full.values)
+            # the direct route at the series' times differs by the rounding of E t
+            direct = np.abs(survival_amplitude(cat5, full.times))
+            assert np.abs(full.values - direct).max() <= _phase_rounding(cat5, 0.0, 30.0)
+            # the direct route: a scalar t gives the bits of its array element
             single = np.array([abs(survival_amplitude(cat5, t)) for t in ts])
-            assert np.array_equal(full, single)
+            assert np.array_equal(np.abs(survival_amplitude(cat5, ts)), single)
         # any array shape: each row of a 2-D time array gives the same bits
+        row = survival_amplitude(cat5, ts)
         block = survival_amplitude(cat5, np.stack([ts, ts]))
         assert block.shape == (2, samples)
-        assert np.array_equal(np.abs(block[0]), full) and np.array_equal(np.abs(block[1]), full)
+        assert np.array_equal(block[0], row) and np.array_equal(block[1], row)
 
     def test_memory_bounded_by_the_block(self):
         # a = 20 (101 levels) over 120,001 times: the whole (T, L) phase
@@ -145,6 +163,35 @@ class TestSurvivalSeries:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_series_memory_bounded_by_the_block(self):
+        # the stride tables are (S, L) and one block of P rows; nothing
+        # grows with the time axis beyond the output itself
+        exp = expand(CatSpec("S", 20.0, MASSLESS))
+        tracemalloc.start()
+        try:
+            survival_series(exp, 0.0, 2000.0, 120001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    @given(sym=st.sampled_from(["S", "A"]),
+           a=st.floats(0.0, A_MAX, exclude_min=True), M=st.floats(0.0, 5.0),
+           kz=st.floats(-1.0, 1.0), t1=st.floats(1e-3, 1e4),
+           samples=st.integers(2, 3000), block_cells=st.integers(1, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_invariants_over_declared_box(self, sym, a, M, kz, t1, samples, block_cells):
+        exp = expand(CatSpec(sym, a, PhysicalParams(M=M, kz=kz)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "_BLOCK_CELLS", block_cells)
+            values = survival_series(exp, 0.0, t1, samples).values
+        # k = 0 at t0 = 0 has the phase 1 exactly: C(0) is the weight sum,
+        # in the kernel's pairwise order over the complex weights
+        total = (exp.weight_positive + 0j).sum() + (exp.weight_negative + 0j).sum()
+        assert values[0] == abs(total)
+        assert values.max() <= 1.0 + 4.0 * np.finfo(float).eps
+        assert np.array_equal(values, survival_series(exp, 0.0, t1, samples).values)
 
     def test_complex_series_matches_magnitude(self, cat5):
         za = autocorrelation_series(cat5, 0.0, 10.0, 101)
@@ -229,3 +276,26 @@ def test_mass_dominated_recurrence():
     sc = time_scales(n0, p)
     series = survival_series(exp, sc.T2, 11.0 * sc.T2, 400001)
     assert series.values.max() > 0.8
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is not extended")
+@pytest.mark.parametrize("a", (5.0, 20.0, 100.0))
+@pytest.mark.parametrize("sym", ("S", "A"))
+def test_series_accuracy_against_long_double(sym, a):
+    # the survival command's default window [0, 2 T1], at 120,001 samples;
+    # the reference sums the same float64 weights and energies at the exact
+    # times t0 + k dt in extended precision
+    exp = expand(CatSpec(sym, a, MASSLESS))
+    t1 = 2.0 * time_scales(gaussian_fit(exp).n0, MASSLESS).T1
+    series = survival_series(exp, 0.0, t1, 120001)
+    k = np.linspace(0, 120000, 200).astype(int)
+    ld = np.longdouble
+    arg = np.multiply.outer(k.astype(ld) * ld(series.dt), exp.energies.astype(ld))
+    w_pos, w_neg = exp.weight_positive.astype(ld), exp.weight_negative.astype(ld)
+    w_sum, w_diff = w_pos + w_neg, w_neg - w_pos
+    ref = np.hypot((np.cos(arg) * w_sum).sum(axis=1), (np.sin(arg) * w_diff).sum(axis=1))
+    err = float(np.abs(series.values[k] - ref).max())
+    direct = float(np.abs(np.abs(survival_amplitude(exp, series.times[k])) - ref).max())
+    bound = _phase_rounding(exp, 0.0, t1)
+    print(f"{sym} a = {a:g}: stride tables {err:.2e}, direct {direct:.2e}, bound {bound:.2e}")
+    assert err <= bound
