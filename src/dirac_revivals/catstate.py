@@ -139,6 +139,8 @@ class LevelFit:
 
 def _parity_weights(symmetry: str, a: float, tail_eps: float):
     """Oscillator indices m of one parity and normalized weights P_m."""
+    if not (0.0 < tail_eps <= 1e-6):
+        raise ValueError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
     lam = 0.5 * a * a
     m0 = 0 if symmetry == "S" else 1
     if lam == 0.0:
@@ -170,9 +172,13 @@ def expand(spec: CatSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> CatExpansion:
     parity ladder while their total closed-form probability stays below
     tail_eps, so the kept levels are one band around the mean level.
     """
-    if not (0.0 < tail_eps <= 1e-6):
-        raise ValueError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
-    ms, w = _parity_weights(spec.symmetry, spec.a, tail_eps)
+    return _expand_ladder(spec, _parity_weights(spec.symmetry, spec.a, tail_eps), tail_eps)
+
+
+def _expand_ladder(spec: CatSpec, ladder, tail_eps: float) -> CatExpansion:
+    """expand from its ladder _parity_weights(spec.symmetry, spec.a, tail_eps),
+    which does not depend on M, kz or eB: a kz solve builds it once."""
+    ms, w = ladder
     levels = ms + 1
     _, A, B, eta = _params_arrays(levels, spec.params)
     root = np.sqrt(eta * w)
@@ -293,25 +299,33 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
     mean = float((m * y).sum())
     width = math.sqrt(max(2.0 * float((((m - mean) ** 2) * y).sum()), 1e-12))
 
-    def model(q):  # residuals and their Jacobian in (n0, dn)
-        u = (m - q[0]) / q[1]
-        g = 2.0 / (q[1] * math.sqrt(math.pi)) * np.exp(-u * u)
-        return g - y, np.stack([g * 2.0 * u / q[1], g * (2.0 * u * u - 1.0) / q[1]], axis=1)
+    def model(q):  # residuals, their cost and their Jacobian in (n0, dn)
+        n0, dn = q.tolist()
+        u = (m - n0) / dn
+        g = 2.0 / (dn * math.sqrt(math.pi)) * np.exp(-u * u)
+        J = np.empty((m.size, 2))
+        J[:, 0] = g * 2.0 * u / dn
+        J[:, 1] = g * (2.0 * u * u - 1.0) / dn
+        r = g - y
+        return r, float(r @ r), J
 
     # Levenberg-Marquardt with Marquardt's diagonal scaling (More, LNM 630,
     # 1978): a step is taken only if it lowers the cost, and the loop stops
     # on a relative step of 1e-13 or after 200 trial steps
     q, mu = np.array([mean, width]), 1e-3
-    r, J = model(q)
+    r, cost, J = model(q)
     for _ in range(200 if m.size >= 5 else 0):  # fewer levels keep the moments
         JtJ = J.T @ J
-        step = np.linalg.solve(JtJ + mu * np.diag(np.diag(JtJ)), -(J.T @ r))
-        r_new, J_new = model(q + step)
-        if r_new @ r_new < r @ r:
-            q, r, J, mu = q + step, r_new, J_new, 0.1 * mu
+        damped = JtJ.copy()
+        damped[0, 0] += mu * JtJ[0, 0]
+        damped[1, 1] += mu * JtJ[1, 1]
+        step = np.linalg.solve(damped, -(J.T @ r))
+        r_new, cost_new, J_new = model(q + step)
+        if cost_new < cost:
+            q, r, cost, J, mu = q + step, r_new, cost_new, J_new, 0.1 * mu
         else:
             mu *= 10.0
-        if np.abs(step).max() <= 1e-13 * np.abs(q).max():
+        if max(map(abs, step.tolist())) <= 1e-13 * max(map(abs, q.tolist())):
             break
     n0, dn = float(q[0]), abs(float(q[1]))
     if n0 <= 0.0:  # the S state at a = 0, and below a ~ 5.3e-3 under min_weight = 1e-10

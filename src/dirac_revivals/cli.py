@@ -24,8 +24,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import dataio
-from .catstate import (A_MAX, CatSpec, LevelFit, _oracle_expansion, expand, gaussian_fit,
-                       oracle_raw_overlaps, spectral_function)
+from .catstate import (A_MAX, CatSpec, LevelFit, _expand_ladder, _oracle_expansion,
+                       _parity_weights, expand, gaussian_fit, oracle_raw_overlaps,
+                       spectral_function)
 from .density import density_grid
 from .evolution import (_uniform_grid, autocorrelation_series, kz_for_ab_ratio,
                         survival_series, time_scales)
@@ -185,11 +186,13 @@ def _spec_and_fit(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None]:
     def solve(fit: LevelFit) -> float:
         return kz_for_ab_ratio(cfg["ab_ratio"], fit.n0, cfg["eB"])
 
-    fit = gaussian_fit(expand(spec_at(0.0), cfg["tail_eps"]))
+    spec = spec_at(0.0)
+    ladder = _parity_weights(spec.symmetry, spec.a, cfg["tail_eps"])  # the same at every kz
+    fit = gaussian_fit(_expand_ladder(spec, ladder, cfg["tail_eps"]))
     kz, fits, converged = solve(fit), 1, False
     while not converged and fits < _KZ_MAX_FITS:
         # a kz outside the domain is refused here; only a failed fit ends the loop
-        exp = expand(spec_at(kz), cfg["tail_eps"])
+        exp = _expand_ladder(spec_at(kz), ladder, cfg["tail_eps"])
         try:
             new = gaussian_fit(exp)
         except ValueError:
@@ -292,8 +295,6 @@ def cmd_observables(cfg: dict) -> int:
     tmin, tmax = _window(cfg, spec, exp, fit, 1.0, "T2")
     ts, _ = _uniform_grid(tmin, tmax, cfg["samples"])
     rows = expectation_values(exp, _EXPORTED_GENERATORS, ts)
-    if not np.isfinite(rows).all():  # 2 E t overflows for bounds like --tmax 1e308
-        raise ValueError("series values must be finite")
     columns = {g.value: row for g, row in zip(_EXPORTED_GENERATORS, rows)}
     # the correlation quantifiers' inputs are all exported columns
     g0, sz, g5gz, igz, az = (columns[g.value] for g in _CORRELATION_GENERATORS)

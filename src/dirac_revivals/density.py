@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatExpansion
-from .evolution import _level_rows, _profile_step, _uniform_grid
+from .evolution import _check_window, _level_rows, _profile_step, _uniform_grid
 
 __all__ = ["SpatialGrid2D", "probability_density", "density_closed_form", "density_grid"]
 
@@ -101,6 +101,7 @@ def density_grid(exp: CatExpansion, s_min: float, s_max: float, ns: int,
     """Fill an (s, t) rectangle with probability_density rows from one Hermite table."""
     s, _ = _uniform_grid(s_min, s_max, ns)
     ts, _ = _uniform_grid(t_min, t_max, nt)
+    _check_window(exp, t_min, t_max)
     F_lo, F_hi = _level_rows(exp, s)
     values = np.empty((nt, ns))
     for i, t in enumerate(ts):

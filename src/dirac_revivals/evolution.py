@@ -109,11 +109,22 @@ def _block_rows(levels: int) -> int:
     return max(1, _BLOCK_CELLS // levels)
 
 
-def _weighted_sum(exp: CatExpansion, phase: np.ndarray) -> np.ndarray:
+def _check_window(exp: CatExpansion, t0: float, t1: float) -> None:
+    """Refuse times whose largest phase argument 2 max E_n max(|t0|, |t1|) overflows."""
+    phase = 2.0 * float(exp.energies.max()) * max(abs(float(t0)), abs(float(t1)))
+    if not math.isfinite(phase):
+        raise ValueError(f"2 max E_n max(|t0|, |t1|) = {phase:g} leaves the double range "
+                         f"at a = {exp.spec.a:g} (t0 = {t0:g}, t1 = {t1:g})")
+
+
+def _weighted_sum(exp: CatExpansion, phase: np.ndarray,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """sum_+ |c|^2 phase + sum_- |c|^2 conj(phase), pairwise along the ascending-level
-    axis: a row's bits do not depend on the rows beside it (matmul would re-block)."""
+    axis: a row's bits do not depend on the rows beside it (matmul would re-block).
+    `work`, if given, is scratch of phase's shape for the products."""
     w_pos, w_neg = exp.weight_positive, exp.weight_negative
-    return (phase * w_pos).sum(axis=-1) + (np.conj(phase) * w_neg).sum(axis=-1)
+    pos = np.multiply(phase, w_pos, out=work).sum(axis=-1)
+    return pos + np.multiply(np.conjugate(phase, out=work), w_neg, out=work).sum(axis=-1)
 
 
 def survival_amplitude(exp: CatExpansion, t):
@@ -146,14 +157,19 @@ def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int
     phase argument E t that both routes carry.
     """
     _, dt = _uniform_grid(t0, t1, samples)
+    _check_window(exp, t0, t1)
     E, S = exp.energies, _STRIDE
     R = np.exp(-1j * np.multiply.outer(dt * np.arange(S), E))
     out = np.empty(samples, dtype=complex)
     n_q, step = -(-samples // S), max(1, _block_rows(len(E)) // S)
+    # one phase and one scratch table per call: fresh per-block temporaries
+    # would be mapped and unmapped by the allocator, faulting their pages again
+    table, work = np.empty((2, min(step, n_q) * S, len(E)), dtype=complex)
     for q0 in range(0, n_q, step):
         P = np.exp(-1j * np.multiply.outer(t0 + np.arange(q0, min(q0 + step, n_q)) * (S * dt), E))
-        phase = (P[:, None, :] * R).reshape(-1, len(E))[:samples - q0 * S]
-        out[q0 * S:q0 * S + len(phase)] = _weighted_sum(exp, phase)
+        rows = min(len(P) * S, samples - q0 * S)
+        np.multiply(P[:, None, :], R, out=table[:len(P) * S].reshape(len(P), S, len(E)))
+        out[q0 * S:q0 * S + rows] = _weighted_sum(exp, table[:rows], work[:rows])
     return TimeSeries(t0=t0, dt=dt, values=out)
 
 

@@ -122,7 +122,8 @@ def find_peaks(series, min_height: float, min_separation: float) -> list[tuple[f
     cand = interior[is_max & (values[interior] >= min_height)]
 
     kept: list[int] = []
-    for i in sorted(cand, key=lambda i: (-values[i], i)):
+    # by height, then index: Python floats and ints sort without numpy scalars
+    for _, i in sorted(zip((-values[cand]).tolist(), cand.tolist())):
         if all(abs(i - j) * dt >= min_separation for j in kept):
             kept.append(i)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .landau import LABELS, PhysicalParams, _component_table
-from .evolution import TimeSeries, _block_rows, _uniform_grid
+from .evolution import TimeSeries, _block_rows, _check_window, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -128,25 +128,26 @@ def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
 _LABELS = ((1, "+"), (2, "+"), (2, "-"))
 
 
-def _level_tables(exp: CatExpansion, g: GeneratorId) -> np.ndarray:
+def _level_tables(g: GeneratorId, table) -> np.ndarray:
     """Per-level 3x3 matrix-element tables over the populated labels, shape (L, 3, 3).
 
-    The F_k are orthonormal, so the overlap of two components is 1 when
-    their Hermite orders agree and 0 otherwise; cross-level elements vanish
-    by the parity selection rule and are not carried.
+    `table` is _component_table(_LABELS, exp.levels, exp.spec.params).  The
+    F_k are orthonormal, so the overlap of two components is 1 when their
+    Hermite orders agree and 0 otherwise; cross-level elements vanish by the
+    parity selection rule and are not carried.
     """
-    coef, offset = _component_table(_LABELS, exp.levels, exp.spec.params)
+    coef, offset = table
     same_order = offset[:, None, :, None] == offset[None, :, None, :]
     return np.einsum("lai,ij,lbj,abij->lab", coef, _MATRICES[g], coef, same_order)
 
 
-def _series_coefficients(exp: CatExpansion, g: GeneratorId):
+def _series_coefficients(exp: CatExpansion, g: GeneratorId, table):
     """Decompose <Gamma>(t) = sum_n [ s_n + c_n cos(2 E_n t) + d_n sin(2 E_n t) ].
 
     The r=1 coefficient evolves with e^{-iEt}, both r=2 ones with e^{+iEt},
     so only the relative phase 2 E_n t survives in the bilinears.
     """
-    tbl = _level_tables(exp, g)
+    tbl = _level_tables(g, table)
     a1, a2, a3 = exp.c_r1_plus, exp.c_r2_plus, exp.c_r2_minus
     stat = (a1 * a1 * tbl[:, 0, 0].real + a2 * a2 * tbl[:, 1, 1].real
             + a3 * a3 * tbl[:, 2, 2].real + 2.0 * a2 * a3 * tbl[:, 1, 2].real)
@@ -160,20 +161,32 @@ def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
     """<Gamma>(t) from the direct bilinear engine; t scalar or array of any shape.
 
     A sequence of generators g gives stacked rows on one cos/sin(2Et) basis,
-    built in blocks of _block_rows times.  Each row is summed pairwise over
-    the ascending-level axis, so the bits do not depend on the chunking and
-    a scalar t gives the grid value.
+    built in blocks of _block_rows times from one spinor table per call; cos
+    or sin is skipped where every coefficient on it is zero.  Each row is
+    summed pairwise over the ascending-level axis, so the bits do not depend
+    on the chunking and a scalar t gives the grid value.
     """
     single = isinstance(g, GeneratorId)
-    coefficients = [_series_coefficients(exp, gi) for gi in ((g,) if single else g)]
+    table = _component_table(_LABELS, exp.levels, exp.spec.params)
+    coefficients = [(stat.sum(), cosc if cosc.any() else None, sinc if sinc.any() else None)
+                    for stat, cosc, sinc in (_series_coefficients(exp, gi, table)
+                                             for gi in ((g,) if single else g))]
     flat = np.asarray(t, dtype=float).reshape(-1)
+    _check_window(exp, flat.min(initial=0.0), flat.max(initial=0.0))
     vals = np.empty((len(coefficients), flat.size))
     step = _block_rows(len(exp.energies))
+    need_cos = any(cosc is not None for _, cosc, _ in coefficients)
+    need_sin = any(sinc is not None for *_, sinc in coefficients)
     for i in range(0, flat.size, step):
         phase = 2.0 * np.multiply.outer(flat[i:i + step], exp.energies)
-        cos, sin = np.cos(phase), np.sin(phase, out=phase)
+        cos = np.cos(phase, out=None if need_sin else phase) if need_cos else None
+        sin = np.sin(phase, out=phase) if need_sin else None
         for row, (stat, cosc, sinc) in zip(vals, coefficients):
-            row[i:i + step] = stat.sum() + (cos * cosc).sum(axis=-1) + (sin * sinc).sum(axis=-1)
+            row[i:i + step] = stat
+            if cosc is not None:
+                row[i:i + step] += (cos * cosc).sum(axis=-1)
+            if sinc is not None:
+                row[i:i + step] += (sin * sinc).sum(axis=-1)
     vals = vals.reshape((len(coefficients),) + np.shape(t))
     if single:
         vals = vals[0]

@@ -1,5 +1,6 @@
 """Cat-state expansions: analytic coefficients vs quadrature oracle, spectra, fit."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -264,3 +265,45 @@ class TestGaussianFit:
         f0 = gaussian_fit(expand(CatSpec("S", 5.0, MASSLESS)))
         f1 = gaussian_fit(expand(CatSpec("S", 5.0, PhysicalParams(kz=10.2))))
         assert f1.n0 == pytest.approx(f0.n0, abs=1e-9)
+
+
+# float.hex of (n0, delta_n, residual) per (symmetry, a, M, kz), recorded at
+# commit 23cf542, before the Levenberg-Marquardt loop lost its numpy
+# overhead; the loop's arithmetic must not move a bit
+FIT_BITS = {
+    ("S", 0.8, 0.0, 0.0): ("0x1.fe0c8874304edp-2", "0x1.a4cf2c97a02f2p-1", "0x1.85a0f270e4f50p-13"),
+    ("S", 0.8, 1.0, 0.7): ("0x1.fd9113eae6de1p-2", "0x1.9cf02c49971d6p-1", "0x1.4a7568fcea3aap-13"),
+    ("S", 3.0, 0.0, 0.0): ("0x1.0fb752353eb91p+2", "0x1.7b9de51db55edp+1", "0x1.51e624c0531b8p-7"),
+    ("S", 3.0, 1.0, 0.7): ("0x1.09f9748d311efp+2", "0x1.7be4a1b41b560p+1", "0x1.571498e1655bbp-7"),
+    ("S", 20.0, 0.0, 0.0): ("0x1.8f7ff3781a456p+7", "0x1.3fe93b4cdf2cep+4", "0x1.b4efb04e37c78p-13"),
+    ("S", 20.0, 1.0, 0.7): ("0x1.8f73dc3845a91p+7", "0x1.3feb8023646a6p+4", "0x1.b4e22bdd3a97ap-13"),
+    ("S", 100.0, 0.0, 0.0): ("0x1.387bfffbfeafdp+12", "0x1.8ffedcb8df173p+6", "0x1.17440df116249p-17"),
+    ("S", 100.0, 1.0, 0.7): ("0x1.387bebb6c295bp+12", "0x1.8ffee32408b82p+6", "0x1.1743f9df3f893p-17"),
+    ("A", 0.8, 0.0, 0.0): ("0x1.7dfc8bd1a9c13p+0", "0x1.69b220744a31dp-1", "0x1.424889e94d85dp-15"),
+    ("A", 0.8, 1.0, 0.7): ("0x1.7ddad1549f844p+0", "0x1.669ee3f911f78p-1", "0x1.1fba605cc35b7p-15"),
+    ("A", 3.0, 0.0, 0.0): ("0x1.0f093e341b84ap+2", "0x1.7dc1128e57088p+1", "0x1.3e7ce7ac6725fp-7"),
+    ("A", 3.0, 1.0, 0.7): ("0x1.092cad1533834p+2", "0x1.7e3c920982683p+1", "0x1.3542d18ccf162p-7"),
+    ("A", 20.0, 0.0, 0.0): ("0x1.8f7ff3781a43cp+7", "0x1.3fe93b4cd9d88p+4", "0x1.b73adc983ca19p-13"),
+    ("A", 20.0, 1.0, 0.7): ("0x1.8f73dc3845afdp+7", "0x1.3feb8023610ccp+4", "0x1.b72d45fcf6c94p-13"),
+    ("A", 100.0, 0.0, 0.0): ("0x1.387bfffbfeb2fp+12", "0x1.8ffedcb8dcb7ep+6", "0x1.178ea4538c563p-17"),
+    ("A", 100.0, 1.0, 0.7): ("0x1.387bebb6c298ep+12", "0x1.8ffee32406590p+6", "0x1.178e903c597c5p-17"),
+}
+
+
+def _rounds_like_the_recording() -> bool:
+    """True where np.exp and a (2 x n) @ (n x 2) product round as on the machine
+    that recorded FIT_BITS (x86-64 with AVX-512, numpy 2.4, OpenBLAS): numpy's
+    exp falls back to libm without AVX-512, and BLAS kernels sum in their own order."""
+    x = np.linspace(-40.0, 0.0, 4001)
+    J = np.stack([np.exp(x), x * np.exp(x)], axis=1)
+    digest = hashlib.sha256(np.exp(x).tobytes() + (J.T @ J).tobytes()).hexdigest()
+    return digest.startswith("1a3db805563fa6e9")
+
+
+@pytest.mark.skipif(not _rounds_like_the_recording(),
+                    reason="exp or the BLAS product rounds unlike the recording machine")
+@pytest.mark.parametrize("key", FIT_BITS, ids=lambda k: "-".join(map(str, k)))
+def test_fit_bits_pinned(key):
+    symmetry, a, M, kz = key
+    fit = gaussian_fit(expand(CatSpec(symmetry, a, PhysicalParams(M=M, kz=kz))))
+    assert (fit.n0.hex(), fit.delta_n.hex(), fit.residual.hex()) == FIT_BITS[key]

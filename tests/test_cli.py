@@ -559,14 +559,21 @@ def test_non_finite_bound_is_config_error(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
-def test_overflowing_observable_phase_is_config_error(tmp_path, capsys):
-    # a finite --tmax whose phase 2 E t overflows gives no finite column
+@pytest.mark.parametrize("argv", [
+    ["survival", "--samples", "5"],
+    ["density", "--nt", "2", "--ns", "5"],
+    ["density", "--nt", "2", "--ns", "5", "--format", "json"],
+    ["observables", "--samples", "5"],
+], ids=["survival", "density-csv", "density-json", "observables"])
+def test_overflowing_window_phase_is_config_error(tmp_path, capsys, argv):
+    # a finite --tmax whose phase 2 max E_n t overflows is refused before any
+    # kernel runs: no overflow warning, no file
     out = tmp_path / "out"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["observables", "--a", "3", "--tmax", "1e308", "--samples", "5",
-                     "--out", str(out)]) == EXIT_CONFIG
-    assert "series values must be finite" in capsys.readouterr().err
+        warnings.simplefilter("error")
+        assert main(argv + ["--a", "3", "--tmax", "1e308", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "2 max E_n max(|t0|, |t1|) = inf leaves the double range at a = 3 " in err
     assert not out.exists()
 
 

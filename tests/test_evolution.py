@@ -176,6 +176,20 @@ class TestSurvivalSeries:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    @pytest.mark.parametrize("samples, bound_mib", [(4001, 1.5), (101, 0.7)])
+    def test_series_memory_of_one_scan_step(self, samples, bound_mib):
+        # one phase and one scratch table of min(step, n_q) * S rows per call
+        # (2 x 0.49 MiB at a = 20), not four fresh temporaries per block; a
+        # 101-sample grid sizes them to its two strides
+        exp = expand(CatSpec("S", 20.0, MASSLESS))
+        tracemalloc.start()
+        try:
+            survival_series(exp, 0.0, 2000.0, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
+
     @given(sym=st.sampled_from(["S", "A"]),
            a=st.floats(0.0, A_MAX, exclude_min=True), M=st.floats(0.0, 5.0),
            kz=st.floats(-1.0, 1.0), t1=st.floats(1e-3, 1e4),

@@ -195,3 +195,43 @@ class TestFindPeaks:
         series = TimeSeries(t0=0.0, dt=1.0, values=np.array([]))
         with pytest.raises(ValueError):
             find_peaks(series, min_height=0.0, min_separation=1.0)
+
+
+def _greedy_peaks_reference(series, min_height, min_separation):
+    """find_peaks as it stood at commit 23cf542, sorting candidates by numpy scalars."""
+    values = np.asarray(series.values)
+    n, dt, t0 = values.size, float(series.dt), float(series.t0)
+    interior = np.arange(1, n - 1)
+    is_max = (values[interior] >= values[interior - 1]) & (values[interior] >= values[interior + 1])
+    is_max &= ~((values[interior] == values[interior - 1]) & (values[interior] == values[interior + 1]))
+    cand = interior[is_max & (values[interior] >= min_height)]
+    kept = []
+    for i in sorted(cand, key=lambda i: (-values[i], i)):
+        if all(abs(i - j) * dt >= min_separation for j in kept):
+            kept.append(i)
+    peaks = []
+    for i in kept:
+        ym, y0, yp = values[i - 1], values[i], values[i + 1]
+        denom = ym - 2.0 * y0 + yp
+        if denom < 0.0:
+            delta = 0.5 * (ym - yp) / denom
+            height = y0 - 0.25 * (ym - yp) * delta
+        else:
+            delta, height = 0.0, y0
+        peaks.append((t0 + (i + delta) * dt, float(height)))
+    peaks.sort()
+    return peaks
+
+
+@given(levels=st.lists(st.integers(0, 4), min_size=1, max_size=60),
+       scale=st.sampled_from([1.0, 0.1, 1.0 / 3.0]), dt=st.sampled_from([1.0, 0.1, 0.37]),
+       min_height=st.integers(0, 4), gap=st.integers(0, 61), frac=st.sampled_from([0.0, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_find_peaks_matches_the_greedy_reference(levels, scale, dt, min_height, gap, frac):
+    # few distinct levels give ties in height, plateaus and equal-height
+    # neighbours; separations run over every whole and half multiple of dt
+    series = TimeSeries(t0=-1.5, dt=dt, values=np.array(levels) * scale)
+    got = find_peaks(series, min_height * scale, (gap + frac) * dt)
+    want = _greedy_peaks_reference(series, min_height * scale, (gap + frac) * dt)
+    assert [(float(t).hex(), h.hex()) for t, h in got] == \
+        [(float(t).hex(), h.hex()) for t, h in want]

@@ -11,7 +11,7 @@ from dirac_revivals.cli import _EXPORTED_GENERATORS
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
                                       kz_for_ab_ratio, survival_amplitude, survival_series,
                                       time_scales)
-from dirac_revivals.landau import LABELS, PhysicalParams, _params_arrays, energy
+from dirac_revivals.landau import LABELS, PhysicalParams, _component_table, _params_arrays, energy
 from dirac_revivals.numerics import find_peaks
 from dirac_revivals.observables import (_CORRELATION_GENERATORS, _LABELS, _MATRICES,
                                         GeneratorId, _level_tables, closed_form_series,
@@ -99,9 +99,10 @@ class TestMatrixElements:
         exp = expand(CatSpec(symmetry, 5.0, p))
         k = np.arange(6)
         lab = [LABELS.index(la) for la in _LABELS]
+        table = _component_table(_LABELS, exp.levels, p)
         for g in ALL_GENERATORS:
             el = matrix_elements(g, exp.levels[:6], p)[k, :, k, :]  # same-level blocks
-            assert np.abs(_level_tables(exp, g)[:6] - el[:, lab][:, :, lab]).max() < 1e-12
+            assert np.abs(_level_tables(g, table)[:6] - el[:, lab][:, :, lab]).max() < 1e-12
 
     def test_unit_norm_at_the_quadrature_limit(self):
         # n_max = 354 takes the 370-point rule, the last whose plain
@@ -215,6 +216,22 @@ class TestExpectationSeries:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("params", [MASSLESS, PhysicalParams(M=1.0, kz=0.7)],
+                             ids=["massless", "massive"])
+    @pytest.mark.parametrize("symmetry", ["S", "A"])
+    @pytest.mark.parametrize("a", [0.5, 5.0, 20.0])
+    def test_each_generator_alone_has_the_bits_of_the_joint_call(self, a, symmetry, params):
+        # a call skips cos or sin when none of its generators needs it, and a
+        # generator skips a half whose coefficients are all zero; neither may
+        # move a bit, the sign of a zero included (compared as bytes)
+        exp = expand(CatSpec(symmetry, a, params))
+        ts = np.linspace(0.0, 40.0, _block_rows(len(exp.levels)) + 7)
+        joint = expectation_values(exp, ALL_GENERATORS, ts)
+        for g, row in zip(ALL_GENERATORS, joint):
+            assert expectation_values(exp, g, ts).tobytes() == row.tobytes(), g
+            for k in (0, 1, ts.size - 1):  # t = 0 sums exact zeros on the sin half
+                assert np.float64(expectation_values(exp, g, ts[k])).tobytes() == row[k].tobytes()
 
     def test_series_wrapper(self, fig7):
         exp, _ = fig7
