@@ -4,10 +4,10 @@ Subcommands: spectral, survival, timescales, density, observables,
 validate.  Every setting is one row of `_OPTIONS`: its type or choices, its
 default, the subcommands whose flags set it and its help.  Flags override a
 flat `key = value` config file, which overrides the defaults; outputs are
-deterministic (identical config -> byte-identical files).  Exit codes:
-0 ok, 1 validation failure, 2 I/O error, 3 bad configuration.
-
-The validation tolerance can be overridden with DIRAC_REVIVALS_TOL.
+deterministic (identical config -> byte-identical files).  Every subcommand
+runs one path: `_prepare` (spec, expansion, fit, time window), its kernel,
+its writer.  Exit codes: 0 ok, 1 validation failure, 2 I/O error, 3 bad
+configuration.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from . import dataio
 from .catstate import (A_MAX, CatSpec, LevelFit, _expand_ladder, _oracle_expansion,
-                       _parity_weights, expand, gaussian_fit, oracle_raw_overlaps,
-                       spectral_function)
+                       _parity_weights, gaussian_fit, oracle_raw_overlaps, spectral_function)
 from .density import density_grid
 from .evolution import (_uniform_grid, autocorrelation_series, kz_for_ab_ratio,
                         survival_series, time_scales)
@@ -40,11 +39,14 @@ EXIT_IO = 2
 EXIT_CONFIG = 3
 
 _ALL = ("spectral", "survival", "timescales", "density", "observables", "validate")
-_WINDOWED = ("survival", "density", "observables")
+# the windowed commands and their default tmax: a multiple of one fitted period
+_DEFAULT_TMAX = {"survival": (2.0, "T1"), "density": (3.0, "T1"), "observables": (1.0, "T2")}
+_WINDOWED = tuple(_DEFAULT_TMAX)
 
 # Every setting, one row each: (key, type or tuple of choices, default, the
 # subcommands whose flag sets it, help).  The parser, the config file and the
-# defaults all derive from this table; a config file may set any key.
+# defaults all derive from this table; a config file may set any key.  A bool
+# row is a bare flag, and `true`/`false` in a config file.
 _OPTIONS = (
     ("mass", float, 0.0, _ALL, "fermion mass M"),
     ("kz", float, None, _ALL, "longitudinal momentum"),
@@ -59,12 +61,14 @@ _OPTIONS = (
     ("tmax", float, None, _WINDOWED,
      "end of the time window (default: survival 2 T1, density 3 T1, observables T2)"),
     ("samples", int, 2000, ("survival", "observables"), "time samples"),
+    ("complex", bool, False, ("survival",), "emit re/im/abs columns of C(t)"),
     ("smin", float, None, ("density",), "lower s bound (default -(a + 6))"),
     ("smax", float, None, ("density",), "upper s bound (default a + 6)"),
     ("ns", int, None, ("density",), "s samples (default: Nyquist for the kept levels)"),
     ("nt", int, 301, ("density",), "time samples"),
     ("out", str, "-", _ALL, "output path, '-' for stdout"),
     ("format", ("csv", "json"), "csv", ("density",), "output format"),
+    ("tol", float, 1e-8, ("validate",), "tolerance of the validation checks, positive"),
 )
 
 
@@ -73,12 +77,13 @@ class ConfigError(Exception):
 
 
 def _typed(kind, text: str):
-    """text as a value of a row's kind: a type, or a tuple of choices."""
-    if not isinstance(kind, tuple):
+    """text as a value of a row's kind: a type (bool reads true/false), or a tuple of choices."""
+    choices = ("false", "true") if kind is bool else kind
+    if not isinstance(choices, tuple):
         return kind(text)
-    if text not in kind:
-        raise ValueError(f"not one of {kind}")
-    return text
+    if text not in choices:
+        raise ValueError(f"not one of {choices}")
+    return text == "true" if kind is bool else text
 
 
 def read_config_file(path: str) -> dict:
@@ -119,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
         for key, kind, default, commands, text in _OPTIONS:
             if command in commands:
                 # no argparse default: a flag left out must not override the file
-                typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                typed = ({"action": "store_true", "default": None} if kind is bool else
+                         {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
                 sp.add_argument("--" + key.replace("_", "-"), **typed,
                                 help=text if default is None else f"{text} (default {default})")
-        if command == "survival":
-            sp.add_argument("--complex", action="store_true", default=None, dest="complex_out",
-                            help="emit re/im/abs columns of C(t)")
     return parser
 
 
@@ -139,10 +142,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg.update((key, val) for key, val in vars(args).items()
                if val is not None and key not in ("command", "config"))
     for key, kind, *_ in _OPTIONS:
-        if kind is float and cfg[key] is not None and not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
+        value = cfg[key]
+        if kind is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        if kind is int and value is not None and value < 2:
+            raise ConfigError(f"{key} = {value}: need at least 2 samples")
     if cfg["kz"] is not None and cfg["ab_ratio"] is not None:
         raise ConfigError("exactly one of kz and ab_ratio may be given")
+    if not cfg["tol"] > 0.0:
+        raise ConfigError(f"tol must be positive, got {cfg['tol']}")
     return cfg
 
 
@@ -169,19 +177,19 @@ def make_spec(cfg: dict) -> tuple[CatSpec, dict]:
     info is JSON-serialisable: `solved_kz`, `kz_fits` (fits made) and
     `kz_converged` (False when the loop stopped without agreement).
     """
-    spec, info, _ = _spec_and_fit(cfg)
+    spec, info, *_ = _solve(cfg)
     return spec, info
 
 
-def _spec_and_fit(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None]:
-    """make_spec, plus the fit the ab_ratio solve ended on (None without ab_ratio)."""
+def _solve(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None, tuple | None]:
+    """make_spec, plus the ab_ratio solve's last fit and its ladder (None, None without)."""
     def spec_at(kz: float) -> CatSpec:
         return CatSpec(cfg["symmetry"], cfg["a"],
                        PhysicalParams(M=cfg["mass"], kz=kz, eB=cfg["eB"]))
 
     if cfg.get("ab_ratio") is None:
         kz = cfg.get("kz")
-        return spec_at(kz if kz is not None else 0.0), {}, None
+        return spec_at(kz if kz is not None else 0.0), {}, None, None
 
     def solve(fit: LevelFit) -> float:
         return kz_for_ab_ratio(cfg["ab_ratio"], fit.n0, cfg["eB"])
@@ -201,68 +209,62 @@ def _spec_and_fit(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None]:
         converged = abs(new.n0 - fit.n0) <= _KZ_RTOL * new.n0
         fit, kz = new, solve(new)
     info = {"solved_kz": kz, "kz_fits": fits, "kz_converged": converged}
-    return spec_at(kz), info, fit
+    return spec_at(kz), info, fit, ladder
+
+
+def _prepare(cfg: dict, command: str):
+    """(spec, exp, window, fit, info): the setup every command runs before its kernel.
+
+    exp is built on the ladder of make_spec's kz solve, and fit is that solve's
+    last fit.  Without ab_ratio a fit is made only where a period is read: by
+    timescales, and for a default tmax, which window = (tmin, tmax) then holds.
+    timescales reads only the fit, so it builds no expansion after a solve.
+    """
+    spec, info, fit, ladder = _solve(cfg)
+    if ladder is None:  # no ab_ratio, so no fit either
+        ladder = _parity_weights(spec.symmetry, spec.a, cfg["tail_eps"])
+    fit_only = fit is not None and command == "timescales"
+    exp = None if fit_only else _expand_ladder(spec, ladder, cfg["tail_eps"])
+    default, tmax = _DEFAULT_TMAX.get(command), cfg["tmax"]
+    if fit is None and (command == "timescales" or default and tmax is None):
+        fit = gaussian_fit(exp)
+    if default and tmax is None:
+        multiple, period = default
+        tmax = multiple * getattr(time_scales(fit.n0, spec.params), period)
+    return spec, exp, (cfg["tmin"], tmax), fit, info
 
 
 def cmd_spectral(cfg: dict) -> int:
     """Spectral lines (energy, weight)."""
-    spec, _ = make_spec(cfg)
-    exp = expand(spec, cfg["tail_eps"])
+    _, exp, *_ = _prepare(cfg, "spectral")
     dataio.write_spectral_csv(cfg["out"], spectral_function(exp))
     return EXIT_OK
 
 
-def _window(cfg: dict, spec: CatSpec, exp, fit: LevelFit | None, multiple: float,
-            which: str) -> tuple[float, float]:
-    """(tmin, tmax) from the config; tmax defaults to multiple * the period `which`."""
-    tmin, tmax = cfg["tmin"], cfg["tmax"]
-    if tmax is None:
-        # only fit when the user leaves the window to us; under ab_ratio the
-        # solved fit gives the periods, the same n0 that timescales reports
-        if fit is None:
-            fit = gaussian_fit(exp)
-        tmax = multiple * getattr(time_scales(fit.n0, spec.params), which)
-    return tmin, tmax
-
-
 def cmd_survival(cfg: dict) -> int:
     """The |C(t)| series."""
-    spec, _, fit = _spec_and_fit(cfg)
-    exp = expand(spec, cfg["tail_eps"])
-    tmin, tmax = _window(cfg, spec, exp, fit, 2.0, "T1")
-    if cfg.get("complex_out"):
-        series = autocorrelation_series(exp, tmin, tmax, cfg["samples"])
-    else:
-        series = survival_series(exp, tmin, tmax, cfg["samples"])
-    dataio.write_series_csv(cfg["out"], series, "abs_C")
+    _, exp, (tmin, tmax), *_ = _prepare(cfg, "survival")
+    kernel = autocorrelation_series if cfg["complex"] else survival_series
+    dataio.write_series_csv(cfg["out"], kernel(exp, tmin, tmax, cfg["samples"]), "abs_C")
     return EXIT_OK
 
 
 def cmd_timescales(cfg: dict) -> int:
     """Fit report and the periods T1/T2/T3."""
-    spec, info, fit = _spec_and_fit(cfg)
-    if fit is None:
-        fit = gaussian_fit(expand(spec, cfg["tail_eps"]))
+    spec, _, _, fit, info = _prepare(cfg, "timescales")
     scales = time_scales(fit.n0, spec.params)
     p = spec.params
-    report = {
-        "n0": fit.n0,
-        "delta_n": fit.delta_n,
-        "residual": fit.residual,
-        "T1": scales.T1,
-        "T2": scales.T2,
-        "T3": scales.T3,
-        "params": {"mass": p.M, "kz": p.kz, "eB": p.eB, "a": spec.a,
-                   "symmetry": spec.symmetry, **info},
-    }
+    report = {"n0": fit.n0, "delta_n": fit.delta_n, "residual": fit.residual,
+              "T1": scales.T1, "T2": scales.T2, "T3": scales.T3,
+              "params": {"mass": p.M, "kz": p.kz, "eB": p.eB, "a": spec.a,
+                         "symmetry": spec.symmetry, **info}}
     dataio.write_timescales_json(cfg["out"], report)
     return EXIT_OK
 
 
 def cmd_density(cfg: dict) -> int:
     """Probability density on an (s,t) grid."""
-    spec, _, fit = _spec_and_fit(cfg)
-    exp = expand(spec, cfg["tail_eps"])
+    spec, exp, (tmin, tmax), *_ = _prepare(cfg, "density")
     smin = -(spec.a + 6.0) if cfg["smin"] is None else cfg["smin"]
     smax = spec.a + 6.0 if cfg["smax"] is None else cfg["smax"]
     # sample the band limit sqrt(2*n_max + 1) of the truncated expansion at
@@ -271,7 +273,6 @@ def cmd_density(cfg: dict) -> int:
     ns = cfg["ns"]
     if ns is None:
         ns = max(801, math.ceil((smax - smin) * band / math.pi) + 1)
-    tmin, tmax = _window(cfg, spec, exp, fit, 3.0, "T1")
     grid = density_grid(exp, smin, smax, ns, tmin, tmax, cfg["nt"])
     writer = dataio.write_grid_json if cfg["format"] == "json" else dataio.write_grid_csv
     writer(cfg["out"], grid)
@@ -290,9 +291,7 @@ _EXPORTED_GENERATORS = (
 
 def cmd_observables(cfg: dict) -> int:
     """Generator series, concurrence^2 and mutual information."""
-    spec, _, fit = _spec_and_fit(cfg)
-    exp = expand(spec, cfg["tail_eps"])
-    tmin, tmax = _window(cfg, spec, exp, fit, 1.0, "T2")
+    _, exp, (tmin, tmax), *_ = _prepare(cfg, "observables")
     ts, _ = _uniform_grid(tmin, tmax, cfg["samples"])
     rows = expectation_values(exp, _EXPORTED_GENERATORS, ts)
     columns = {g.value: row for g, row in zip(_EXPORTED_GENERATORS, rows)}
@@ -306,18 +305,8 @@ def cmd_observables(cfg: dict) -> int:
 
 def cmd_validate(cfg: dict) -> int:
     """Internal consistency suite: oracle coefficients, selection rules, normalization."""
-    tol_env = os.environ.get("DIRAC_REVIVALS_TOL")
-    tol = 1e-8
-    if tol_env is not None:
-        try:
-            tol = float(tol_env)
-        except ValueError as exc:
-            raise ConfigError(f"DIRAC_REVIVALS_TOL is not a number: {tol_env!r}") from exc
-        if not (tol > 0.0) or not math.isfinite(tol):
-            raise ConfigError(f"DIRAC_REVIVALS_TOL must be a positive number, got {tol_env!r}")
-
-    spec, _ = make_spec(cfg)
-    exp = expand(spec, cfg["tail_eps"])
+    spec, exp, *_ = _prepare(cfg, "validate")
+    tol = cfg["tol"]
     checks: list[tuple[str, float, float, bool]] = []
 
     def record(name: str, value: float, bound: float) -> None:

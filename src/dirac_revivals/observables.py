@@ -205,16 +205,6 @@ def expectation_series(exp: CatExpansion, g: GeneratorId, t0: float, t1: float,
 # closed forms (regression targets for the direct engine)
 # ----------------------------------------------------------------------
 
-_CLOSED_FORM_IDS = (
-    GeneratorId.GAMMA0,
-    GeneratorId.GAMMA5_ALPHA_Z,
-    GeneratorId.GAMMA5_GAMMA_Z,
-    GeneratorId.I_GAMMA_Z,
-    GeneratorId.I_GAMMA0_GAMMA5,
-    GeneratorId.ALPHA_Z,
-    GeneratorId.GAMMA5,
-)
-
 
 def closed_form_series(exp: CatExpansion, g: GeneratorId, t) -> np.ndarray:
     """Analytic <Gamma>(t) for the generators with nonvanishing averages.

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,16 @@ def _analytic_signal(x):
 def analytic_signal():
     """The analytic signal of a real 1-D array, as a function."""
     return _analytic_signal
+
+
+def _rounds_like_the_recording() -> bool:
+    """True where np.exp, a (2 x n) @ (n x 2) product and a density-shaped
+    (8 x L) @ (L x ns) product round as on the machine that recorded the pinned
+    bits and digests (x86-64 with AVX-512, numpy 2.4, OpenBLAS): numpy's exp
+    falls back to libm without AVX-512, and BLAS kernels sum in their own order."""
+    x = np.linspace(-40.0, 0.0, 4001)
+    J = np.stack([np.exp(x), x * np.exp(x)], axis=1)
+    rows = 1.0 / np.add.outer(np.arange(1.0, 9.0), np.arange(101.0))
+    F = np.subtract.outer(np.linspace(-1.0, 1.0, 101), np.linspace(-11.0, 11.0, 1201)) ** 3
+    digest = hashlib.sha256(np.exp(x).tobytes() + (J.T @ J).tobytes() + (rows @ F).tobytes())
+    return digest.hexdigest().startswith("eff83644c47e750f")

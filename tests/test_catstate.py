@@ -1,6 +1,5 @@
 """Cat-state expansions: analytic coefficients vs quadrature oracle, spectra, fit."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -13,6 +12,8 @@ from dirac_revivals.density import density_grid
 from dirac_revivals.evolution import survival_amplitude, time_scales
 from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import hermite_table
+
+from conftest import _rounds_like_the_recording
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
 
@@ -288,16 +289,6 @@ FIT_BITS = {
     ("A", 100.0, 0.0, 0.0): ("0x1.387bfffbfeb2fp+12", "0x1.8ffedcb8dcb7ep+6", "0x1.178ea4538c563p-17"),
     ("A", 100.0, 1.0, 0.7): ("0x1.387bebb6c298ep+12", "0x1.8ffee32406590p+6", "0x1.178e903c597c5p-17"),
 }
-
-
-def _rounds_like_the_recording() -> bool:
-    """True where np.exp and a (2 x n) @ (n x 2) product round as on the machine
-    that recorded FIT_BITS (x86-64 with AVX-512, numpy 2.4, OpenBLAS): numpy's
-    exp falls back to libm without AVX-512, and BLAS kernels sum in their own order."""
-    x = np.linspace(-40.0, 0.0, 4001)
-    J = np.stack([np.exp(x), x * np.exp(x)], axis=1)
-    digest = hashlib.sha256(np.exp(x).tobytes() + (J.T @ J).tobytes()).hexdigest()
-    return digest.startswith("1a3db805563fa6e9")
 
 
 @pytest.mark.skipif(not _rounds_like_the_recording(),

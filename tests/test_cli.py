@@ -365,24 +365,28 @@ class TestValidate:
                      "normalization_defect", "constraint_identity", "selection_rule_leak"):
             assert name in report
 
-    def test_absurd_tolerance_fails(self, monkeypatch):
-        monkeypatch.setenv("DIRAC_REVIVALS_TOL", "1e-30")
-        assert main(["validate", "--a", "3"]) == EXIT_VALIDATION
+    def test_absurd_tolerance_fails(self):
+        assert main(["validate", "--a", "3", "--tol", "1e-30"]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize("tol, code", [(None, EXIT_OK), ("1e-30", EXIT_VALIDATION)])
-    def test_out_file_holds_the_printed_table(self, tmp_path, capsys, monkeypatch, tol, code):
-        if tol is not None:
-            monkeypatch.setenv("DIRAC_REVIVALS_TOL", tol)
-        assert main(["validate", "--a", "3"]) == code
+    def test_out_file_holds_the_printed_table(self, tmp_path, capsys, tol, code):
+        argv = ["validate", "--a", "3"] + ([] if tol is None else ["--tol", tol])
+        assert main(argv) == code
         printed = capsys.readouterr().out
         out = tmp_path / "v.txt"
-        assert main(["validate", "--a", "3", "--out", str(out)]) == code
+        assert main(argv + ["--out", str(out)]) == code
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
 
-    def test_corrupt_tolerance_is_config_error(self, monkeypatch):
-        monkeypatch.setenv("DIRAC_REVIVALS_TOL", "not-a-number")
-        assert main(["validate", "--a", "3"]) == EXIT_CONFIG
+    def test_corrupt_tolerance_is_config_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = not-a-number\n")
+        assert main(["validate", "--a", "3", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-8"])
+    def test_nonpositive_tolerance_names_the_key(self, capsys, tol):
+        assert main(["validate", "--a", "3", f"--tol={tol}"]) == EXIT_CONFIG
+        assert f"tol must be positive, got {float(tol)}" in capsys.readouterr().err
 
     def test_passes_past_the_old_oracle_envelope(self, capsys):
         # an oracle built on the envelope-free Hermite parts left the double
@@ -408,6 +412,40 @@ class TestValidate:
         assert main(["validate", "--a", "5"]) == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
         assert len(calls) == 1
+
+
+# (_parity_weights, _expand_ladder, gaussian_fit) calls per command.  Under
+# --ab-ratio the solve builds the level ladder once and the final expansion
+# reuses it; a fit is made only where a period is read
+LIBRARY_WORK = [
+    (["density", "--a", "5", "--ab-ratio", "2.04", "--nt", "3", "--ns", "11"], (1, 3, 2)),
+    (["observables", "--a", "5", "--ab-ratio", "2.04", "--samples", "11"], (1, 3, 2)),
+    (["timescales", "--a", "5", "--ab-ratio", "2.04"], (1, 2, 2)),
+    (["density", "--a", "20", "--ab-ratio", "2.04", "--nt", "3", "--ns", "11"], (1, 3, 2)),
+    (["observables", "--a", "20", "--ab-ratio", "2.04", "--samples", "11"], (1, 3, 2)),
+    (["timescales", "--a", "20", "--ab-ratio", "2.04"], (1, 2, 2)),
+    (["spectral", "--a", "5"], (1, 1, 0)),
+    (["validate", "--a", "5"], (1, 1, 0)),
+    (["survival", "--a", "5", "--tmax", "5", "--samples", "11"], (1, 1, 0)),
+    (["survival", "--a", "5", "--samples", "11"], (1, 1, 1)),
+    (["density", "--a", "5", "--nt", "3", "--ns", "11"], (1, 1, 1)),
+    (["timescales", "--a", "5"], (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("argv, counts", LIBRARY_WORK,
+                         ids=[" ".join(argv) for argv, _ in LIBRARY_WORK])
+def test_library_work_per_command(tmp_path, monkeypatch, argv, counts):
+    calls = dict.fromkeys(("_parity_weights", "_expand_ladder", "gaussian_fit"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(catstate, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(catstate, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    assert tuple(calls.values()) == counts
 
 
 class TestDomain:
@@ -589,12 +627,15 @@ def test_non_finite_config_file_value_is_config_error(tmp_path, capsys):
     ["observables", "--samples", "0"],
     ["density", "--nt", "0"],
     ["density", "--ns", "0"],
+    ["density", "--ns", "1"],
+    ["density", "--nt", "1"],
 ])
 def test_zero_count_is_refused(tmp_path, capsys, argv):
-    # 0 is a count, not "use the default"
+    # 0 is a count, not "use the default"; the message names the key
+    _, flag, count = argv
     out = tmp_path / "out"
     assert main(argv + ["--a", "3", "--tmax", "5", "--out", str(out)]) == EXIT_CONFIG
-    assert "need at least 2 samples" in capsys.readouterr().err
+    assert f"{flag[2:]} = {count}: need at least 2 samples" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -606,7 +647,7 @@ class TestOptionTable:
         """A value of the row's kind, different from its default, as text."""
         if isinstance(kind, tuple):
             return next(choice for choice in kind if choice != default)
-        return {float: "0.375", int: "7", str: "data.out"}[kind]
+        return {float: "0.375", int: "7", str: "data.out", bool: "true"}[kind]
 
     @pytest.mark.parametrize("key, kind, default, command", [
         (key, kind, default, command)
@@ -617,10 +658,11 @@ class TestOptionTable:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"{key} = {text}\n")
         parser = cli.build_parser()
-        by_flag = cli.resolve_config(parser.parse_args(
-            [command, "--" + key.replace("_", "-"), text]))
+        # a bool row is a bare flag
+        flag = ["--" + key.replace("_", "-")] + ([] if kind is bool else [text])
+        by_flag = cli.resolve_config(parser.parse_args([command, *flag]))
         by_file = cli.resolve_config(parser.parse_args([command, "--config", str(cfg_path)]))
-        expected = text if isinstance(kind, tuple) else kind(text)
+        expected = True if kind is bool else text if isinstance(kind, tuple) else kind(text)
         assert by_flag[key] == by_file[key] == expected != default
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -631,5 +673,5 @@ class TestOptionTable:
         listed = re.findall(r"^\s+(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
         expected = ["--help", "--config"] + [
             "--" + key.replace("_", "-") for key, *_, commands, _ in cli._OPTIONS
-            if command in commands] + (["--complex"] if command == "survival" else [])
+            if command in commands]
         assert sorted(listed) == sorted(expected)

@@ -1,0 +1,52 @@
+"""sha256 of the bytes each CLI command writes.
+
+README's CLI commands at a = 5, the a = 20 commands of the benchmark and two
+variants (`--complex`, and a mass with the fit made at the given kz).  A change
+to the CLI's plumbing must leave every one of these files byte-identical.  The
+digests hold only where exp and the BLAS products round as on the recording
+machine, so the test skips elsewhere.
+"""
+
+import hashlib
+
+import pytest
+
+from dirac_revivals.cli import EXIT_OK, main
+
+from conftest import _rounds_like_the_recording
+
+DIGESTS = {
+    "spectral --a 5 --mass 0":
+        "470557d6f331b8b2c7111539d3ad871f3b2828522b22a5536445b6bdf05f75d3",
+    "survival --a 5 --tmin 0 --tmax 444 --samples 120001":
+        "3696175d22c8bf021c753c4f1ad524b94f8ee260db332fbbbc0811f30e12ec41",
+    "survival --a 5 --tmin 0 --tmax 444 --samples 120001 --complex":
+        "b5820d29e36196b0cc866c096e1d40cf499594f26994ad430096c65ce407909a",
+    "timescales --a 5 --ab-ratio 2.04":
+        "7aef641d14f474acda39eb366d71c34cb46564ec9a5f7cd77d897d373b4b4d31",
+    "density --a 5 --ab-ratio 2.04 --tmax 106 --nt 301 --ns 1201":
+        "2c7a4dfd84b8138a0f94eaf02f13624d73ca581999194884eeccc48bc770b426",
+    "density --a 5 --format json":
+        "aac2d014c29db6dcd79262267c798421c015a7ed464e3c2eb938579378356cc9",
+    "observables --a 5 --ab-ratio 2.04 --samples 2000":
+        "c2dba035ab0409924d582ae9463c0d1109af38ab215b68c7b6d965f219d83b7c",
+    "validate --a 5":
+        "2645b636787fa4e9c5635253565750644fc61b6b0207804943a0e63941306a36",
+    "survival --a 20 --samples 120001":
+        "94f0a11f80e0f83da7d2f2ba9d216e3db0090fab063a49c183bcdd376509ab18",
+    "timescales --a 20 --mass 1":
+        "3dce94caf1e1238f61ae35f4988ddd471862e4068d5e2276b3eb8ad6e2685bf8",
+    "density --a 20 --ab-ratio 2.04 --nt 301 --ns 1201":
+        "abc1914f2f9fabfacd409eba3ffbedc6dc9b83cdffa27694a133b43912f0ae9c",
+    "observables --a 20 --ab-ratio 2.04 --samples 20000":
+        "032a836e099bbae0e87a77a80c618cae154e855336b558845cbcf091f7f31e6a",
+}
+
+
+@pytest.mark.skipif(not _rounds_like_the_recording(),
+                    reason="exp or a BLAS product rounds unlike the recording machine")
+@pytest.mark.parametrize("command", DIGESTS)
+def test_output_digest_pinned(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([*command.split(), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[command]
