@@ -31,7 +31,7 @@ from .evolution import (_uniform_grid, autocorrelation_series, kz_for_ab_ratio,
                         survival_series, time_scales)
 from .landau import PhysicalParams
 from .observables import (_CORRELATION_GENERATORS, GeneratorId, _concurrence_sq_formula,
-                          _mutual_information_formula, expectation_values, matrix_elements)
+                          _grid_values, _mutual_information_formula, matrix_elements)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -272,6 +272,7 @@ def cmd_density(cfg: dict) -> int:
     band = math.sqrt(2 * exp.n_max + 1)
     ns = cfg["ns"]
     if ns is None:
+        _uniform_grid(smin, smax, 2)  # refuses a span the rule below cannot count
         ns = max(801, math.ceil((smax - smin) * band / math.pi) + 1)
     grid = density_grid(exp, smin, smax, ns, tmin, tmax, cfg["nt"])
     writer = dataio.write_grid_json if cfg["format"] == "json" else dataio.write_grid_csv
@@ -293,7 +294,7 @@ def cmd_observables(cfg: dict) -> int:
     """Generator series, concurrence^2 and mutual information."""
     _, exp, (tmin, tmax), *_ = _prepare(cfg, "observables")
     ts, _ = _uniform_grid(tmin, tmax, cfg["samples"])
-    rows = expectation_values(exp, _EXPORTED_GENERATORS, ts)
+    rows, _ = _grid_values(exp, _EXPORTED_GENERATORS, tmin, tmax, cfg["samples"])
     columns = {g.value: row for g, row in zip(_EXPORTED_GENERATORS, rows)}
     # the correlation quantifiers' inputs are all exported columns
     g0, sz, g5gz, igz, az = (columns[g.value] for g in _CORRELATION_GENERATORS)

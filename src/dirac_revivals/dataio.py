@@ -3,7 +3,8 @@
 Every CSV starts with a `# schema=1` comment and a header row; JSON
 documents carry a top-level "schema" field.  Numbers are formatted with
 repr-faithful %.17g so identical configurations produce byte-identical
-files.  Every writer takes a path, or "-" for stdout.
+files; nan and inf are refused before the file exists.  Every writer takes
+a path, or "-" for stdout.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _write_header(fh: TextIO, header: Sequence[str]) -> None:
     fh.write(f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n")
 
 
+def _check_finite(name: str, values) -> None:
+    """Refuse nan and inf, which %.17g spells as words, before the file exists."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"column {name!r} has {np.count_nonzero(~np.isfinite(values))} "
+                         "values not finite: a CSV cell must be a finite number")
+
+
 def _write_table(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Schema line, header row, then row k joins value k of every column.
 
@@ -64,6 +72,7 @@ def _write_table(path: str, header: Sequence[str], columns: Sequence[np.ndarray]
         if len(col) != rows:
             raise ValueError(f"column {name!r} has {len(col)} values, "
                              f"column {header[0]!r} has {rows}")
+        _check_finite(name, col)
     with _text_out(path) as fh:
         _write_header(fh, header)
         row = ",".join([_NUMBER] * len(columns)) + "\n"
@@ -99,10 +108,13 @@ def write_grid_csv(path: str, grid: SpatialGrid2D) -> None:
     if grid.values.shape != (grid.nt, grid.ns):
         raise ValueError(f"grid values have shape {grid.values.shape}, "
                          f"expected (nt, ns) = ({grid.nt}, {grid.ns})")
+    values = np.asarray(grid.values, dtype=float)
+    for name, col in (("s", grid.s), ("t", grid.t), ("value", values)):
+        _check_finite(name, col)
     s = [format_number(x) for x in grid.s] + [""]
     with _text_out(path) as fh:
         _write_header(fh, ("s", "t", "value"))
-        for t, row in zip(grid.t, np.asarray(grid.values, dtype=float)):
+        for t, row in zip(grid.t, values):
             # s_0 + sep + s_1 + ... + sep: one "s_j,t,%.17g\n" line per s
             fh.write(f",{format_number(t)},{_NUMBER}\n".join(s) % tuple(row.tolist()))
 

@@ -7,7 +7,8 @@ level sets the characteristic periods
 
     T1 = 2 pi / (2 |E'|),   T2 = 2 pi / (4 |E''| / 2),   T3 = 2 pi / (8 |E'''| / 6),
 
-half the usual wave-packet scales order by order.
+half the usual wave-packet scales order by order.  The uniform-grid series,
+survival and observables alike, walk the time axis in _phase_blocks.
 """
 
 from __future__ import annotations
@@ -145,31 +146,39 @@ def survival_amplitude(exp: CatExpansion, t):
     return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 
+def _phase_blocks(E: np.ndarray, t0: float, dt: float, samples: int):
+    """(k0, table) blocks of exp(-i E t_k), table[j] at t_{k0+j} = t0 + (k0 + j) dt.
+
+    Sample k = q S + r takes P[q] * R[r]: R = exp(-i E r dt), r < S, once, and one P
+    row exp(-i E (t0 + q S dt)) per stride, (samples/S + S) exps per frequency E_n.
+    A row's bits depend on (t0, dt, k) alone, whatever the chunking.  Blocks are
+    whole strides, at most _block_rows rows, views of one table per call (fresh
+    temporaries would fault their pages in again): read one before the next.
+    """
+    S = _STRIDE
+    R = np.exp(-1j * np.multiply.outer(dt * np.arange(S), E))
+    n_q, step = -(-samples // S), max(1, _block_rows(len(E)) // S)
+    table = np.empty((min(step, n_q) * S, len(E)), dtype=complex)
+    for q0 in range(0, n_q, step):
+        P = np.exp(-1j * np.multiply.outer(t0 + np.arange(q0, min(q0 + step, n_q)) * (S * dt), E))
+        np.multiply(P[:, None, :], R, out=table[:len(P) * S].reshape(len(P), S, len(E)))
+        yield q0 * S, table[:min(len(P) * S, samples - q0 * S)]
+
+
 def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> TimeSeries:
     """Complex C(t) on the uniform grid t_k = t0 + k dt over [t0, t1].
 
-    Sample k = q S + r takes its phases as P[q] * R[r], with R = exp(-iE r dt)
-    (r < S) built once and P = exp(-iE (t0 + q S dt)) per block of whole
-    strides: (samples/S + S) exps per level instead of one per sample.  A
-    value's bits depend on (t0, dt, k) alone, so the series is bit-identical
-    however the time axis is chunked.  It differs from survival_amplitude at
-    series.times by at most max|E| max(|t0|, |t1|) eps, the rounding of the
-    phase argument E t that both routes carry.
+    Phases from the stride tables of _phase_blocks at the frequencies E, so the
+    series is bit-identical however the time axis is chunked.  It differs from
+    survival_amplitude at series.times by at most max|E| max(|t0|, |t1|) eps,
+    the rounding of the phase argument E t that both routes carry.
     """
     _, dt = _uniform_grid(t0, t1, samples)
     _check_window(exp, t0, t1)
-    E, S = exp.energies, _STRIDE
-    R = np.exp(-1j * np.multiply.outer(dt * np.arange(S), E))
-    out = np.empty(samples, dtype=complex)
-    n_q, step = -(-samples // S), max(1, _block_rows(len(E)) // S)
-    # one phase and one scratch table per call: fresh per-block temporaries
-    # would be mapped and unmapped by the allocator, faulting their pages again
-    table, work = np.empty((2, min(step, n_q) * S, len(E)), dtype=complex)
-    for q0 in range(0, n_q, step):
-        P = np.exp(-1j * np.multiply.outer(t0 + np.arange(q0, min(q0 + step, n_q)) * (S * dt), E))
-        rows = min(len(P) * S, samples - q0 * S)
-        np.multiply(P[:, None, :], R, out=table[:len(P) * S].reshape(len(P), S, len(E)))
-        out[q0 * S:q0 * S + rows] = _weighted_sum(exp, table[:rows], work[:rows])
+    out, work = np.empty(samples, dtype=complex), None  # one scratch table per call
+    for k, phase in _phase_blocks(exp.energies, t0, dt, samples):
+        work = np.empty_like(phase) if work is None else work[:len(phase)]
+        out[k:k + len(phase)] = _weighted_sum(exp, phase, work)
     return TimeSeries(t0=t0, dt=dt, values=out)
 
 

@@ -8,7 +8,9 @@ one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
 labels; the F_k are orthonormal, so within a level two spinor components
 meet only on equal Hermite orders.  `matrix_elements` evaluates the same
 bilinears for every level and label pair by Gauss-Hermite quadrature and
-serves as the independent oracle.
+serves as the independent oracle.  Uniform grids read cos/sin(2Et) off the
+survival's stride phase tables (_grid_values); arbitrary times and the
+closed forms take one cos and sin per cell.
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -24,7 +26,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .landau import LABELS, PhysicalParams, _component_table
-from .evolution import TimeSeries, _block_rows, _check_window, _uniform_grid
+from .evolution import TimeSeries, _block_rows, _check_window, _phase_blocks, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -157,20 +159,36 @@ def _series_coefficients(exp: CatExpansion, g: GeneratorId, table):
     return stat, cosc, sinc
 
 
+def _coefficients(exp: CatExpansion, gens) -> list:
+    """(sum of s_n, c_n, d_n) per generator, from one spinor table; a c_n or d_n
+    whose every entry is zero is None, so its cos or sin half is skipped."""
+    table = _component_table(_LABELS, exp.levels, exp.spec.params)
+    return [(stat.sum(), cosc if cosc.any() else None, sinc if sinc.any() else None)
+            for stat, cosc, sinc in (_series_coefficients(exp, g, table) for g in gens)]
+
+
+def _accumulate(vals: np.ndarray, coefficients: list, cos, sin) -> None:
+    """vals[i] = stat + c_n cos + d_n sin of generator i on one (time x level) block,
+    summed pairwise along the levels: a row's bits do not depend on its neighbours."""
+    for row, (stat, cosc, sinc) in zip(vals, coefficients):
+        row[...] = stat
+        if cosc is not None:
+            row += (cos * cosc).sum(axis=-1)
+        if sinc is not None:
+            row += (sin * sinc).sum(axis=-1)
+
+
 def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
     """<Gamma>(t) from the direct bilinear engine; t scalar or array of any shape.
 
     A sequence of generators g gives stacked rows on one cos/sin(2Et) basis,
-    built in blocks of _block_rows times from one spinor table per call; cos
-    or sin is skipped where every coefficient on it is zero.  Each row is
-    summed pairwise over the ascending-level axis, so the bits do not depend
-    on the chunking and a scalar t gives the grid value.
+    one cos and one sin per cell, in blocks of _block_rows times; cos or sin is
+    skipped where every coefficient on it is zero.  The bits do not depend on
+    the chunking, and a scalar t gives its array element.  Uniform grids take
+    the stride route of _grid_values instead.
     """
     single = isinstance(g, GeneratorId)
-    table = _component_table(_LABELS, exp.levels, exp.spec.params)
-    coefficients = [(stat.sum(), cosc if cosc.any() else None, sinc if sinc.any() else None)
-                    for stat, cosc, sinc in (_series_coefficients(exp, gi, table)
-                                             for gi in ((g,) if single else g))]
+    coefficients = _coefficients(exp, (g,) if single else g)
     flat = np.asarray(t, dtype=float).reshape(-1)
     _check_window(exp, flat.min(initial=0.0), flat.max(initial=0.0))
     vals = np.empty((len(coefficients), flat.size))
@@ -181,24 +199,35 @@ def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
         phase = 2.0 * np.multiply.outer(flat[i:i + step], exp.energies)
         cos = np.cos(phase, out=None if need_sin else phase) if need_cos else None
         sin = np.sin(phase, out=phase) if need_sin else None
-        for row, (stat, cosc, sinc) in zip(vals, coefficients):
-            row[i:i + step] = stat
-            if cosc is not None:
-                row[i:i + step] += (cos * cosc).sum(axis=-1)
-            if sinc is not None:
-                row[i:i + step] += (sin * sinc).sum(axis=-1)
+        _accumulate(vals[:, i:i + step], coefficients, cos, sin)
     vals = vals.reshape((len(coefficients),) + np.shape(t))
     if single:
         vals = vals[0]
     return float(vals) if single and not np.ndim(t) else vals
 
 
+def _grid_values(exp: CatExpansion, gens, t0: float, t1: float,
+                 samples: int) -> tuple[np.ndarray, float]:
+    """Stacked <Gamma>(t_k) of the generators gens at t_k = t0 + k dt, and dt.
+
+    cos(2Et) + i sin(2Et) comes from evolution._phase_blocks at the frequencies
+    -2E, one complex product per cell; a row's bits depend on (t0, dt, k) alone.
+    It errs by at most 2 max E max|t| eps sum(|c_n| + |d_n|), as the direct route.
+    """
+    _, dt = _uniform_grid(t0, t1, samples)
+    _check_window(exp, t0, t1)
+    coefficients = _coefficients(exp, gens)
+    vals = np.empty((len(coefficients), samples))
+    for k, phase in _phase_blocks(-2.0 * exp.energies, t0, dt, samples):
+        _accumulate(vals[:, k:k + len(phase)], coefficients, phase.real, phase.imag)
+    return vals, dt
+
+
 def expectation_series(exp: CatExpansion, g: GeneratorId, t0: float, t1: float,
                        samples: int) -> ObservableSeries:
-    """Uniformly sampled <Gamma>(t) as an ObservableSeries."""
-    ts, dt = _uniform_grid(t0, t1, samples)
-    return ObservableSeries(generator=g,
-                            series=TimeSeries(t0=t0, dt=dt, values=expectation_values(exp, g, ts)))
+    """Uniformly sampled <Gamma>(t) as an ObservableSeries, from _grid_values."""
+    (values,), dt = _grid_values(exp, (g,), t0, t1, samples)
+    return ObservableSeries(generator=g, series=TimeSeries(t0=t0, dt=dt, values=values))
 
 
 # ----------------------------------------------------------------------
@@ -287,9 +316,8 @@ def mutual_information(exp: CatExpansion, t):
 
 
 def correlation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> dict[str, TimeSeries]:
-    """Concurrence^2 and mutual information on one shared grid."""
-    ts, dt = _uniform_grid(t0, t1, samples)
-    g0, sz, g5gz, igz, az = expectation_values(exp, _CORRELATION_GENERATORS, ts)
+    """Concurrence^2 and mutual information on one shared grid, from _grid_values."""
+    (g0, sz, g5gz, igz, az), dt = _grid_values(exp, _CORRELATION_GENERATORS, t0, t1, samples)
     return {
         "concurrence_sq": TimeSeries(t0=t0, dt=dt, values=_concurrence_sq_formula(g0, sz)),
         "mutual_information": TimeSeries(

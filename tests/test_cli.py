@@ -314,14 +314,14 @@ class TestObservables:
     @pytest.mark.parametrize("symmetry", ["S", "A"])
     def test_columns_equal_library_series(self, tmp_path, monkeypatch, symmetry):
         calls = []
-        engine = observables.expectation_values
+        engine = observables._grid_values
 
-        def counted(exp, g, t):
-            calls.append(g if isinstance(g, observables.GeneratorId) else tuple(g))
-            return engine(exp, g, t)
+        def counted(exp, gens, t0, t1, samples):
+            calls.append(tuple(gens))
+            return engine(exp, gens, t0, t1, samples)
 
-        monkeypatch.setattr(observables, "expectation_values", counted)
-        monkeypatch.setattr(cli, "expectation_values", counted)
+        monkeypatch.setattr(observables, "_grid_values", counted)
+        monkeypatch.setattr(cli, "_grid_values", counted)
         out = tmp_path / "o.csv"
         assert main(["observables", "--a", "5", "--symmetry", symmetry, "--tmin", "1",
                      "--tmax", "60", "--samples", "300", "--out", str(out)]) == EXIT_OK
@@ -612,6 +612,19 @@ def test_overflowing_window_phase_is_config_error(tmp_path, capsys, argv):
         assert main(argv + ["--a", "3", "--tmax", "1e308", "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "2 max E_n max(|t0|, |t1|) = inf leaves the double range at a = 3 " in err
+    assert not out.exists()
+
+
+def test_density_span_overflowing_the_nyquist_rule_is_config_error(tmp_path, capsys):
+    # a finite s window whose span overflows, with the default ns: refused as an
+    # explicit --ns refuses it, not by an OverflowError from the Nyquist count
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--a", "3", "--smin=-1e308", "--smax", "1e308", "--tmax", "1",
+                     "--nt", "2", "--out", str(out)]) == EXIT_CONFIG
+    assert ("grid bounds must be finite, with a finite span; got [-1e+308, 1e+308]"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -151,8 +151,9 @@ def test_columns_of_unequal_length_rejected(tmp_path, length):
     assert not out.exists()
 
 
-# every spelling %.17g has for a double: nan, both infinities, signed zero,
-# the smallest subnormal, the largest finite double and inexact decimals
+# every finite spelling %.17g has for a double: signed zero, the smallest
+# subnormal, the largest finite double and inexact decimals; nan and the
+# infinities are refused (test_csv_writers_refuse_non_finite)
 SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
                     0.1, 1.0 / 3.0])
 FINITE = SPECIAL[np.isfinite(SPECIAL)]
@@ -166,7 +167,7 @@ def _cycle(values, n, shift=0):
 
 @pytest.mark.parametrize("n", LENGTHS)
 def test_spectral_bytes_value_by_value(tmp_path, n):
-    lines = list(zip(_cycle(SPECIAL, n).tolist(), _cycle(SPECIAL, n, 3).tolist()))
+    lines = list(zip(_cycle(FINITE, n).tolist(), _cycle(FINITE, n, 3).tolist()))
     out = tmp_path / "spec.csv"
     write_spectral_csv(str(out), SpectralFunction(lines=lines))
     assert out.read_bytes() == reference(["energy", "weight"], lines).encode()
@@ -174,7 +175,6 @@ def test_spectral_bytes_value_by_value(tmp_path, n):
 
 @pytest.mark.parametrize("n", LENGTHS)
 def test_series_bytes_value_by_value(tmp_path, n):
-    # a TimeSeries refuses non-finite values, so the series cycle the finite ones
     real = TimeSeries(t0=-0.0, dt=0.1, values=_cycle(FINITE, n))
     out = tmp_path / "s.csv"
     write_series_csv(str(out), real, "abs_C")
@@ -189,20 +189,65 @@ def test_series_bytes_value_by_value(tmp_path, n):
 
 @pytest.mark.parametrize("n", LENGTHS)
 def test_columns_bytes_value_by_value(tmp_path, n):
-    t = _cycle(SPECIAL, n)
-    columns = {f"c{k}": _cycle(SPECIAL, n, k) for k in range(1, 9)}
+    t = _cycle(FINITE, n)
+    columns = {f"c{k}": _cycle(FINITE, n, k) for k in range(1, 9)}
     out = tmp_path / "o.csv"
     write_columns_csv(str(out), t, columns)
     assert out.read_bytes() == reference(["t", *columns], zip(t, *columns.values())).encode()
 
 
-@pytest.mark.parametrize("nt, ns", [(len(SPECIAL), len(SPECIAL)), (2, _BLOCK + 1), (3, 1),
+@pytest.mark.parametrize("nt, ns", [(len(FINITE), len(FINITE)), (2, _BLOCK + 1), (3, 1),
                                     (2, 0)])
 def test_grid_bytes_value_by_value(tmp_path, nt, ns):
-    values = np.stack([_cycle(SPECIAL, ns, i) for i in range(nt)])
+    values = np.stack([_cycle(FINITE, ns, i) for i in range(nt)])
     grid = SpatialGrid2D(s_min=-1.0 / 3.0, s_max=0.1, ns=ns, t_min=-0.0, t_max=5e-324,
                          nt=nt, values=values)
     out = tmp_path / "g.csv"
     write_grid_csv(str(out), grid)
     rows = [(grid.s[j], t, values[i, j]) for i, t in enumerate(grid.t) for j in range(ns)]
     assert out.read_bytes() == reference(["s", "t", "value"], rows).encode()
+
+
+def _with(bad, n, k):
+    """n finite values, value k replaced by bad."""
+    values = _cycle(FINITE, n)
+    values[k] = bad
+    return values
+
+
+# each writer with one non-finite value at row k, k past the first _BLOCK rows
+# where the table is long enough: (name of the column refused, write call)
+NON_FINITE_WRITES = {
+    "spectral": ("weight", lambda path, bad, n, k: write_spectral_csv(
+        path, SpectralFunction(lines=list(zip(_cycle(FINITE, n), _with(bad, n, k)))))),
+    "columns": ("c2", lambda path, bad, n, k: write_columns_csv(
+        path, _cycle(FINITE, n), {"c1": _cycle(FINITE, n, 1), "c2": _with(bad, n, k)})),
+    "columns-t": ("t", lambda path, bad, n, k: write_columns_csv(
+        path, _with(bad, n, k), {"c1": _cycle(FINITE, n, 1)})),
+    "grid-value": ("value", lambda path, bad, n, k: write_grid_csv(
+        path, SpatialGrid2D(s_min=-1.0, s_max=1.0, ns=n, t_min=0.0, t_max=1.0, nt=2,
+                            values=np.stack([_cycle(FINITE, n), _with(bad, n, k)])))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n, k", [(1, 0), (2 * _BLOCK + 1, _BLOCK + 5)])
+@pytest.mark.parametrize("writer", NON_FINITE_WRITES)
+def test_csv_writers_refuse_non_finite(tmp_path, writer, n, k, bad):
+    # %.17g would spell nan and inf, which no CSV reader takes for a number:
+    # refused, by column, before the file exists
+    column, write = NON_FINITE_WRITES[writer]
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=rf"column '{column}' has \d+ values not finite"):
+        write(str(out), bad, n, k)
+    assert not out.exists()
+
+
+def test_grid_csv_refuses_a_non_finite_axis(tmp_path):
+    # a nan bound: the linspace of an infinite one warns before any writer runs
+    grid = SpatialGrid2D(s_min=-1.0, s_max=1.0, ns=3, t_min=0.0, t_max=np.nan, nt=2,
+                         values=np.zeros((2, 3)))
+    out = tmp_path / "g.csv"
+    with pytest.raises(ValueError, match=r"column 't' has 2 values not finite"):
+        write_grid_csv(str(out), grid)
+    assert not out.exists()

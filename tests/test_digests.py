@@ -29,7 +29,7 @@ DIGESTS = {
     "density --a 5 --format json":
         "aac2d014c29db6dcd79262267c798421c015a7ed464e3c2eb938579378356cc9",
     "observables --a 5 --ab-ratio 2.04 --samples 2000":
-        "c2dba035ab0409924d582ae9463c0d1109af38ab215b68c7b6d965f219d83b7c",
+        "2fc26717e5fac7a94a86651731299855fe83d5a3e71271240924f655cc411e5e",
     "validate --a 5":
         "2645b636787fa4e9c5635253565750644fc61b6b0207804943a0e63941306a36",
     "survival --a 20 --samples 120001":
@@ -39,7 +39,7 @@ DIGESTS = {
     "density --a 20 --ab-ratio 2.04 --nt 301 --ns 1201":
         "abc1914f2f9fabfacd409eba3ffbedc6dc9b83cdffa27694a133b43912f0ae9c",
     "observables --a 20 --ab-ratio 2.04 --samples 20000":
-        "032a836e099bbae0e87a77a80c618cae154e855336b558845cbcf091f7f31e6a",
+        "7829ef348922468a11e00e0ecdae2535ea8081c2c5e4b903fa9c49545342fc68",
 }
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dirac_revivals import evolution
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
 from dirac_revivals.cli import _EXPORTED_GENERATORS
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
@@ -14,9 +15,10 @@ from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_s
 from dirac_revivals.landau import LABELS, PhysicalParams, _component_table, _params_arrays, energy
 from dirac_revivals.numerics import find_peaks
 from dirac_revivals.observables import (_CORRELATION_GENERATORS, _LABELS, _MATRICES,
-                                        GeneratorId, _level_tables, closed_form_series,
-                                        concurrence_sq, correlation_series, expectation_series,
-                                        expectation_values, matrix_elements, mutual_information)
+                                        GeneratorId, _coefficients, _grid_values, _level_tables,
+                                        closed_form_series, concurrence_sq, correlation_series,
+                                        expectation_series, expectation_values, matrix_elements,
+                                        mutual_information)
 
 MASSLESS = PhysicalParams()
 ALL_GENERATORS = list(GeneratorId)
@@ -142,6 +144,15 @@ class TestExpectationSeries:
             closed = closed_form_series(exp, g, ts)
             assert np.abs(direct - closed).max() < 1e-8
 
+    def test_grid_closed_forms_regression(self, fig7):
+        # the stride tables of the grid series, against the closed forms at
+        # the series' own times t0 + k dt
+        exp, sc = fig7
+        for g in (GeneratorId.GAMMA0, GeneratorId.GAMMA5_ALPHA_Z,
+                  GeneratorId.GAMMA5_GAMMA_Z, GeneratorId.I_GAMMA_Z):
+            grid = expectation_series(exp, g, 0.0, sc.T2, 500).series
+            assert np.abs(grid.values - closed_form_series(exp, g, grid.times)).max() < 1e-8
+
     def test_alpha_z_massive_prefactor(self):
         # the velocity component carries +4M; its closed form and the direct
         # engine agree, fixing the overall sign and prefactor
@@ -217,6 +228,32 @@ class TestExpectationSeries:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    def test_grid_memory_bounded_by_the_block(self):
+        # the same six series on the grid route: one reused phase block, where
+        # a whole (T, L) complex phase table would take about 32 MB
+        exp = expand(CatSpec("S", 20.0, MASSLESS))
+        tracemalloc.start()
+        try:
+            _grid_values(exp, _EXPORTED_GENERATORS, 0.0, 300.0, 20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_grid_deterministic_against_chunking(self, fig7):
+        # the grid rows are bit-identical however the time axis is blocked
+        # (down to one stride per block), also on a grid that crosses the
+        # internal block boundaries
+        exp, sc = fig7
+        cells = (1, evolution._STRIDE * len(exp.levels) - 1, 2 ** 15, 2 ** 22)
+        for samples in (301, 2 * _block_rows(len(exp.levels)) + 3):
+            full, dt = _grid_values(exp, _EXPORTED_GENERATORS, 0.0, sc.T2, samples)
+            for block_cells in cells:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(evolution, "_BLOCK_CELLS", block_cells)
+                    rows, dt_blocked = _grid_values(exp, _EXPORTED_GENERATORS, 0.0, sc.T2, samples)
+                assert np.array_equal(rows, full) and dt_blocked == dt
+
     @pytest.mark.parametrize("params", [MASSLESS, PhysicalParams(M=1.0, kz=0.7)],
                              ids=["massless", "massive"])
     @pytest.mark.parametrize("symmetry", ["S", "A"])
@@ -232,6 +269,25 @@ class TestExpectationSeries:
             assert expectation_values(exp, g, ts).tobytes() == row.tobytes(), g
             for k in (0, 1, ts.size - 1):  # t = 0 sums exact zeros on the sin half
                 assert np.float64(expectation_values(exp, g, ts[k])).tobytes() == row[k].tobytes()
+
+    @pytest.mark.parametrize("params", [MASSLESS, PhysicalParams(M=1.0, kz=0.7)],
+                             ids=["massless", "massive"])
+    @pytest.mark.parametrize("symmetry", ["S", "A"])
+    @pytest.mark.parametrize("a", [0.5, 5.0, 20.0])
+    def test_grid_each_generator_alone_has_the_bits_of_the_joint_call(self, a, symmetry,
+                                                                      params):
+        # on the grid route too, a generator's row does not depend on the
+        # generators beside it, nor on which series wrapper asks for it
+        exp = expand(CatSpec(symmetry, a, params))
+        samples = _block_rows(len(exp.levels)) + 7
+        joint, _ = _grid_values(exp, ALL_GENERATORS, 0.0, 40.0, samples)
+        for g, row in zip(ALL_GENERATORS, joint):
+            assert _grid_values(exp, (g,), 0.0, 40.0, samples)[0].tobytes() == row.tobytes(), g
+            series = expectation_series(exp, g, 0.0, 40.0, samples).series
+            assert series.values.tobytes() == row.tobytes(), g
+        g0, sz, *_ = _grid_values(exp, _CORRELATION_GENERATORS, 0.0, 40.0, samples)[0]
+        bundle = correlation_series(exp, 0.0, 40.0, samples)
+        assert np.array_equal(bundle["concurrence_sq"].values, 0.5 * (1.0 + g0) * (1.0 - sz))
 
     def test_series_wrapper(self, fig7):
         exp, _ = fig7
@@ -359,3 +415,34 @@ GRID_FUNCTIONS = {
 def test_uniform_grid_validation(fig7, name, t0, t1, samples, message):
     with pytest.raises(ValueError, match=message):
         GRID_FUNCTIONS[name](fig7[0], t0, t1, samples)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is not extended")
+@pytest.mark.parametrize("a", (5.0, 20.0, 100.0))
+@pytest.mark.parametrize("sym", ("S", "A"))
+def test_grid_accuracy_against_long_double(sym, a):
+    # the observables command's default window [0, T2] at A/B = 2.04, 20,000
+    # samples; the reference sums the same float64 coefficients on cos/sin(2 E t)
+    # in extended precision at the exact times t0 + k dt.  Each row errs by at
+    # most one rounding of the largest phase 2 max E max|t| per unit coefficient
+    n0 = gaussian_fit(expand(CatSpec(sym, a, MASSLESS))).n0
+    p = PhysicalParams(kz=kz_for_ab_ratio(2.04, n0, 1.0))
+    exp = expand(CatSpec(sym, a, p))
+    t1 = time_scales(gaussian_fit(exp).n0, p).T2
+    rows, dt = _grid_values(exp, _EXPORTED_GENERATORS, 0.0, t1, 20000)
+    k = np.linspace(0, 19999, 200).astype(int)
+    ld = np.longdouble
+    arg = 2.0 * np.multiply.outer(k.astype(ld) * ld(dt), exp.energies.astype(ld))
+    cos, sin = np.cos(arg), np.sin(arg)
+    direct = expectation_values(exp, _EXPORTED_GENERATORS, k * dt)
+    scale = 2.0 * np.abs(exp.energies).max() * t1 * np.finfo(float).eps
+    for g, row, near, (stat, cosc, sinc) in zip(_EXPORTED_GENERATORS, rows, direct,
+                                                 _coefficients(exp, _EXPORTED_GENERATORS)):
+        ref, weight = np.full(k.size, ld(stat)), 0.0
+        for basis, coef in ((cos, cosc), (sin, sinc)):
+            if coef is not None:
+                ref, weight = ref + basis @ coef.astype(ld), weight + np.abs(coef).sum()
+        err = float(np.abs(row[k] - ref).max())
+        print(f"{sym} a = {a:g} {g.value}: stride tables {err:.2e}, "
+              f"direct {float(np.abs(near - ref).max()):.2e}, bound {scale * weight:.2e}")
+        assert err <= scale * weight
