@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_revivals.catstate import SpectralFunction
-from dirac_revivals.dataio import (_BLOCK, format_number, write_columns_csv, write_grid_csv,
-                                   write_grid_json, write_series_csv, write_spectral_csv)
+from dirac_revivals.dataio import (_BLOCK, _CELLS, _chars, _digits, format_number,
+                                   write_columns_csv, write_grid_csv, write_grid_json,
+                                   write_series_csv, write_spectral_csv)
 from dirac_revivals.density import SpatialGrid2D
 from dirac_revivals.evolution import TimeSeries
 
@@ -251,3 +254,135 @@ def test_grid_csv_refuses_a_non_finite_axis(tmp_path):
     with pytest.raises(ValueError, match=r"column 't' has 2 values not finite"):
         write_grid_csv(str(out), grid)
     assert not out.exists()
+
+
+# The block formatter (_chars) against '%.17g' % v value by value: its digits
+# come from numpy blocks, and ties, |v| outside [1e-290, 1e290) and a wrong
+# exponent guess take the per-value format_number fallback.
+
+def _spelled(values):
+    """Each value as the block formatter spells it, read off its char matrix."""
+    chars = _chars(np.asarray(values, dtype=float))
+    return [row[row != 0].tobytes().decode("ascii") for row in chars]
+
+
+def _percent(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_formatter_matches_percent_on_finite_floats(values):
+    assert _spelled(values) == _percent(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_formatter_matches_percent_on_raw_bit_patterns(bits):
+    # every double, subnormals, nan and the infinities among them
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _spelled(values) == _percent(values)
+
+
+def _around(points):
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, np.inf)])
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-300, 301)])
+SMALLEST_NORMAL = 2.2250738585072014e-308
+EDGES = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308],
+                        _around([SMALLEST_NORMAL, 1e-290, 1e290]), _around(POWERS_OF_TEN)])
+# %g switches from e-notation to fixed at 1e-4 and back at 1e17
+SWITCHES = np.concatenate([_around([1e-5, 1e-4, 1e16, 1e17])]
+                          + [np.linspace(0.99 * p, 1.01 * p, 401)
+                             for p in (1e-5, 1e-4, 1e16, 1e17)])
+
+
+@pytest.mark.parametrize("values", [EDGES, SWITCHES], ids=["edges", "switch-points"])
+def test_formatter_matches_percent_on_edges(values):
+    values = np.concatenate([values, -values])
+    assert _spelled(values) == _percent(values)
+
+
+@pytest.mark.parametrize("divisor", [4, 8, 32, 128])
+def test_formatter_matches_percent_on_exact_ties(divisor):
+    # odd m over 2**f has f decimals, the last a 5: with 18 - f integer digits
+    # it has 18 significant digits and is a tie at 17, which format_number writes
+    rng = np.random.default_rng(divisor)
+    f = divisor.bit_length() - 1
+    low = divisor * 10 ** (17 - f)
+    ties = (rng.integers(low, min(10 * low, 2 ** 53), 2000) | 1) / divisor
+    assert not _digits(ties)[2].any()
+    values = np.concatenate([ties, (rng.integers(2 ** 52, 2 ** 53, 2000) | 1) / divisor])
+    assert _spelled(values) == _percent(values)
+
+
+def test_fallback_keeps_row_order(tmp_path):
+    # values format_number writes (a tie, one below and one above the block
+    # range), amid every layout, in one block and across table columns
+    values = np.array([0.5, 2 ** 52 / 4 + 0.25, 3.0, 1e-300, 1.5e-5, -7e20, 1e300, 0.1, 0.0])
+    assert not _digits(np.abs(values))[2][[1, 3, 6]].any()
+    assert _spelled(values) == _percent(values)
+    out = tmp_path / "o.csv"
+    columns = {"x": values[::-1], "y": np.roll(values, 4)}
+    write_columns_csv(str(out), values, columns)
+    assert out.read_text() == reference(["t", "x", "y"], zip(values, *columns.values()))
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 9])
+def test_columns_across_cell_blocks(tmp_path, ncols):
+    # rows either side of two _CELLS blocks, values over the whole double range
+    rng = np.random.default_rng(ncols)
+    n = 2 * (_CELLS // ncols) + 1
+    t = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+    columns = {f"c{k}": np.roll(t, k) * rng.uniform(0.5, 2.0, n) for k in range(1, ncols)}
+    out = tmp_path / "o.csv"
+    write_columns_csv(str(out), t, columns)
+    assert out.read_bytes() == reference(["t", *columns], zip(t, *columns.values())).encode()
+
+
+@pytest.mark.parametrize("nt, ns", [(2 * (_CELLS // 15) + 1, 5), (3, _CELLS // 3 + 1)],
+                         ids=["rows-across-blocks", "one-row-blocks"])
+def test_grid_across_cell_blocks(tmp_path, nt, ns):
+    # t rows either side of two blocks of about _CELLS / 3 lines, and rows of
+    # more lines than a block holds; values over the whole double range
+    rng = np.random.default_rng(ns)
+    values = rng.standard_normal((nt, ns)) * 10.0 ** rng.integers(-320, 308, (nt, ns))
+    grid = SpatialGrid2D(s_min=-1.0 / 3.0, s_max=7e-5, ns=ns, t_min=-2.5, t_max=1e17, nt=nt,
+                         values=values)
+    out = tmp_path / "g.csv"
+    write_grid_csv(str(out), grid)
+    rows = [(grid.s[j], t, values[i, j]) for i, t in enumerate(grid.t) for j in range(ns)]
+    assert out.read_bytes() == reference(["s", "t", "value"], rows).encode()
+
+
+def _traced_peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_csv_memory_bounded_by_the_block(tmp_path):
+    # 301 x 1201 cells: a block of 8,192 t rows' worth of cells per write
+    # would hold over 8 MiB of temporaries
+    rng = np.random.default_rng(0)
+    grid = SpatialGrid2D(s_min=-26.0, s_max=26.0, ns=1201, t_min=0.0, t_max=600.0, nt=301,
+                         values=np.exp(-rng.uniform(0.0, 80.0, (301, 1201))))
+    out = tmp_path / "g.csv"
+    assert _traced_peak(lambda: write_grid_csv(str(out), grid)) < 4 * 2 ** 20
+    assert len(out.read_bytes().splitlines()) == 2 + 301 * 1201
+
+
+def test_columns_csv_memory_bounded_by_the_block(tmp_path):
+    # the observables table: 20,000 rows of t and 8 columns; blocks of 8,192
+    # rows took over 8 MiB
+    rng = np.random.default_rng(1)
+    t = np.linspace(0.0, 3.0e6, 20000)
+    columns = {f"c{k}": rng.standard_normal(20000) for k in range(8)}
+    out = tmp_path / "o.csv"
+    assert _traced_peak(lambda: write_columns_csv(str(out), t, columns)) < 4 * 2 ** 20
+    assert len(out.read_bytes().splitlines()) == 2 + 20000
