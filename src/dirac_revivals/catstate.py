@@ -74,13 +74,12 @@ class CatExpansion:
     """
 
     def __init__(self, spec: CatSpec, levels: np.ndarray, c_r1p: np.ndarray,
-                 c_r2p: np.ndarray, c_r2m: np.ndarray, tail_eps: float):
+                 c_r2p: np.ndarray, c_r2m: np.ndarray):
         self.spec = spec
         self.levels = np.asarray(levels, dtype=int)
         self.c_r1_plus = np.asarray(c_r1p, dtype=float)
         self.c_r2_plus = np.asarray(c_r2p, dtype=float)
         self.c_r2_minus = np.asarray(c_r2m, dtype=float)
-        self.tail_eps = float(tail_eps)
         self.energies, self.A, self.B, self.eta = _params_arrays(self.levels, spec.params)
 
     @property
@@ -114,12 +113,6 @@ class SpectralFunction:
     to 1; the line energy is +E_n on the r=1 branch and -E_n on r=2."""
 
     lines: list[tuple[float, float]]
-
-    def total_weight(self) -> float:
-        return sum(w for _, w in self.lines)
-
-    def negative_weight(self) -> float:
-        return sum(w for e, w in self.lines if e < 0.0)
 
 
 @dataclass(frozen=True)
@@ -172,10 +165,10 @@ def expand(spec: CatSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> CatExpansion:
     parity ladder while their total closed-form probability stays below
     tail_eps, so the kept levels are one band around the mean level.
     """
-    return _expand_ladder(spec, _parity_weights(spec.symmetry, spec.a, tail_eps), tail_eps)
+    return _expand_ladder(spec, _parity_weights(spec.symmetry, spec.a, tail_eps))
 
 
-def _expand_ladder(spec: CatSpec, ladder, tail_eps: float) -> CatExpansion:
+def _expand_ladder(spec: CatSpec, ladder) -> CatExpansion:
     """expand from its ladder _parity_weights(spec.symmetry, spec.a, tail_eps),
     which does not depend on M, kz or eB: a kz solve builds it once."""
     ms, w = ladder
@@ -184,7 +177,7 @@ def _expand_ladder(spec: CatSpec, ladder, tail_eps: float) -> CatExpansion:
     root = np.sqrt(eta * w)
     c1, c2, c3 = root, root * B, -root * A
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
-    return CatExpansion(spec, levels, c1 / norm, c2 / norm, c3 / norm, tail_eps)
+    return CatExpansion(spec, levels, c1 / norm, c2 / norm, c3 / norm)
 
 
 def initial_profile(spec: CatSpec, s, normalized: bool = True):
@@ -259,7 +252,7 @@ def _oracle_expansion(spec: CatSpec, levels: np.ndarray, c: np.ndarray) -> CatEx
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
     if norm == 0.0:
         raise ValueError("null state: no overlap with any level")
-    return CatExpansion(spec, levels, c1 / norm, c2 / norm, c3 / norm, tail_eps=0.0)
+    return CatExpansion(spec, levels, c1 / norm, c2 / norm, c3 / norm)
 
 
 def spectral_function(exp: CatExpansion) -> SpectralFunction:

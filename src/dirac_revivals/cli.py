@@ -196,11 +196,11 @@ def _solve(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None, tuple | None]:
 
     spec = spec_at(0.0)
     ladder = _parity_weights(spec.symmetry, spec.a, cfg["tail_eps"])  # the same at every kz
-    fit = gaussian_fit(_expand_ladder(spec, ladder, cfg["tail_eps"]))
+    fit = gaussian_fit(_expand_ladder(spec, ladder))
     kz, fits, converged = solve(fit), 1, False
     while not converged and fits < _KZ_MAX_FITS:
         # a kz outside the domain is refused here; only a failed fit ends the loop
-        exp = _expand_ladder(spec_at(kz), ladder, cfg["tail_eps"])
+        exp = _expand_ladder(spec_at(kz), ladder)
         try:
             new = gaussian_fit(exp)
         except ValueError:
@@ -224,7 +224,7 @@ def _prepare(cfg: dict, command: str):
     if ladder is None:  # no ab_ratio, so no fit either
         ladder = _parity_weights(spec.symmetry, spec.a, cfg["tail_eps"])
     fit_only = fit is not None and command == "timescales"
-    exp = None if fit_only else _expand_ladder(spec, ladder, cfg["tail_eps"])
+    exp = None if fit_only else _expand_ladder(spec, ladder)
     default, tmax = _DEFAULT_TMAX.get(command), cfg["tmax"]
     if fit is None and (command == "timescales" or default and tmax is None):
         fit = gaussian_fit(exp)

@@ -63,6 +63,7 @@ def _density_row(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray, t: float
 
 def probability_density(exp: CatExpansion, s, t: float):
     """psi^dagger psi at (s, t); integrates to 1 over ds/sqrt(eB)."""
+    _check_window(exp, t, t)
     dens = _density_row(exp, *_level_rows(exp, s), t)
     return dens if np.ndim(s) else float(dens[0])
 

@@ -7,8 +7,9 @@ level sets the characteristic periods
 
     T1 = 2 pi / (2 |E'|),   T2 = 2 pi / (4 |E''| / 2),   T3 = 2 pi / (8 |E'''| / 6),
 
-half the usual wave-packet scales order by order.  The uniform-grid series,
-survival and observables alike, walk the time axis in _phase_blocks.
+half the usual wave-packet scales order by order.  Survival and observables
+take exp(-i E t) from one of two walks: _phase_blocks on a uniform time grid,
+_time_blocks at arbitrary times.
 """
 
 from __future__ import annotations
@@ -128,21 +129,28 @@ def _weighted_sum(exp: CatExpansion, phase: np.ndarray,
     return pos + np.multiply(np.conjugate(phase, out=work), w_neg, out=work).sum(axis=-1)
 
 
+def _time_blocks(exp: CatExpansion, E: np.ndarray, t):
+    """(i, table) blocks of exp(-i E t_j) over the flattened t, table[j] at t_{i+j}: the
+    direct twin of _phase_blocks, one exp per cell in blocks of _block_rows(len(E))
+    times, so a time's bits do not depend on its array.  Refuses the window first."""
+    flat = np.asarray(t, dtype=float).reshape(-1)
+    _check_window(exp, flat.min(initial=0.0), flat.max(initial=0.0))
+    step = _block_rows(len(E))
+    for i in range(0, flat.size, step):
+        yield i, np.exp(-1j * np.multiply.outer(flat[i:i + step], E))
+
+
 def survival_amplitude(exp: CatExpansion, t):
     """C(t) = <phi(0)|phi(t)> = sum_+ |c|^2 e^{-iEt} + sum_- |c|^2 e^{+iEt}.
 
-    The direct route, one exp per (time, level) cell, for a scalar or an
-    array of times of any shape; a time's bits do not depend on the array it
-    comes in.  |C| <= 1 + 4 eps: the weights sum to 1 only to rounding, and C
-    is not renormalized (the largest excess measured over a in [1, 40],
-    M in [0, 5], |kz| <= 1 is 2 eps).  Times run in blocks of _block_rows.
+    The direct route, on the phases of _time_blocks, for a scalar or an array
+    of times of any shape.  |C| <= 1 + 4 eps: the weights sum to 1 only to
+    rounding, and C is not renormalized (the largest excess measured over a in
+    [1, 40], M in [0, 5], |kz| <= 1 is 2 eps).
     """
-    flat = np.asarray(t, dtype=float).reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    step = _block_rows(len(exp.energies))
-    for i in range(0, flat.size, step):
-        phase = np.exp(-1j * np.multiply.outer(flat[i:i + step], exp.energies))
-        out[i:i + step] = _weighted_sum(exp, phase)
+    out = np.empty(np.size(t), dtype=complex)
+    for i, phase in _time_blocks(exp, exp.energies, t):
+        out[i:i + len(phase)] = _weighted_sum(exp, phase)
     return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 
@@ -220,6 +228,7 @@ def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
     summing basis spinors one by one; at t = 0 this reproduces the
     normalized two-Gaussian profile on the first component.
     """
+    _check_window(exp, t, t)
     lo, hi = _profile_step(exp, *_level_rows(exp, s), t)
     out = np.empty((4, lo.shape[1]), dtype=complex)
     out[0::2] = lo[:2] + 1j * lo[2:]

@@ -8,9 +8,9 @@ one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
 labels; the F_k are orthonormal, so within a level two spinor components
 meet only on equal Hermite orders.  `matrix_elements` evaluates the same
 bilinears for every level and label pair by Gauss-Hermite quadrature and
-serves as the independent oracle.  Uniform grids read cos/sin(2Et) off the
-survival's stride phase tables (_grid_values); arbitrary times and the
-closed forms take one cos and sin per cell.
+serves as the independent oracle.  cos/sin(2Et) comes from the survival's
+phase walks at the frequencies -2E: _phase_blocks on uniform grids
+(_grid_values), _time_blocks at arbitrary times (expectation_values).
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -26,7 +26,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .landau import LABELS, PhysicalParams, _component_table
-from .evolution import TimeSeries, _block_rows, _check_window, _phase_blocks, _uniform_grid
+from .evolution import TimeSeries, _check_window, _phase_blocks, _time_blocks, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -182,24 +182,15 @@ def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
     """<Gamma>(t) from the direct bilinear engine; t scalar or array of any shape.
 
     A sequence of generators g gives stacked rows on one cos/sin(2Et) basis,
-    one cos and one sin per cell, in blocks of _block_rows times; cos or sin is
-    skipped where every coefficient on it is zero.  The bits do not depend on
-    the chunking, and a scalar t gives its array element.  Uniform grids take
-    the stride route of _grid_values instead.
+    read off the phases of evolution._time_blocks at the frequencies -2E, one
+    exp per cell.  The bits do not depend on the chunking, and a scalar t gives
+    its array element.  Uniform grids take the stride route of _grid_values.
     """
     single = isinstance(g, GeneratorId)
     coefficients = _coefficients(exp, (g,) if single else g)
-    flat = np.asarray(t, dtype=float).reshape(-1)
-    _check_window(exp, flat.min(initial=0.0), flat.max(initial=0.0))
-    vals = np.empty((len(coefficients), flat.size))
-    step = _block_rows(len(exp.energies))
-    need_cos = any(cosc is not None for _, cosc, _ in coefficients)
-    need_sin = any(sinc is not None for *_, sinc in coefficients)
-    for i in range(0, flat.size, step):
-        phase = 2.0 * np.multiply.outer(flat[i:i + step], exp.energies)
-        cos = np.cos(phase, out=None if need_sin else phase) if need_cos else None
-        sin = np.sin(phase, out=phase) if need_sin else None
-        _accumulate(vals[:, i:i + step], coefficients, cos, sin)
+    vals = np.empty((len(coefficients), np.size(t)))
+    for i, phase in _time_blocks(exp, -2.0 * exp.energies, t):
+        _accumulate(vals[:, i:i + len(phase)], coefficients, phase.real, phase.imag)
     vals = vals.reshape((len(coefficients),) + np.shape(t))
     if single:
         vals = vals[0]
@@ -296,10 +287,8 @@ def concurrence_sq(exp: CatExpansion, t):
 
     Zero at t = 0 (spin-parity product state) and bounded by [0, 1].
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = _concurrence_sq_formula(
-        *expectation_values(exp, (GeneratorId.GAMMA0, GeneratorId.GAMMA5_ALPHA_Z), t_arr))
-    return vals if np.ndim(t) else float(vals[0])
+    vals = _concurrence_sq_formula(*expectation_values(exp, _CORRELATION_GENERATORS[:2], t))
+    return vals if np.ndim(t) else float(vals)
 
 
 def mutual_information(exp: CatExpansion, t):
@@ -310,9 +299,8 @@ def mutual_information(exp: CatExpansion, t):
     expectation is +1), which makes the t = 0 information vanish for the
     product state.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = _mutual_information_formula(*expectation_values(exp, _CORRELATION_GENERATORS, t_arr))
-    return vals if np.ndim(t) else float(vals[0])
+    vals = _mutual_information_formula(*expectation_values(exp, _CORRELATION_GENERATORS, t))
+    return vals if np.ndim(t) else float(vals)
 
 
 def correlation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> dict[str, TimeSeries]:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from dirac_revivals import evolution
 from dirac_revivals.catstate import A_MAX, CatSpec, expand, gaussian_fit, initial_profile
+from dirac_revivals.density import probability_density
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
                                       evolve_profile, kz_for_ab_ratio,
                                       survival_amplitude, survival_series, time_scales)
 from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import find_peaks
+from dirac_revivals.observables import GeneratorId, expectation_values
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
 
@@ -272,6 +274,19 @@ class TestEvolveState:
             assert abs(overlap - survival_amplitude(cat5, t)) < 1e-8
 
 
+@pytest.mark.parametrize("route", [
+    lambda exp: survival_amplitude(exp, 1e308),
+    lambda exp: evolve_profile(exp, [0.0], 1e308),
+    lambda exp: probability_density(exp, 0.0, 1e308),
+    lambda exp: expectation_values(exp, GeneratorId.GAMMA0, [0.0, -1e308]),
+], ids=["survival_amplitude", "evolve_profile", "probability_density", "expectation_values"])
+def test_direct_routes_refuse_an_overflowing_window(cat5, route):
+    # the phase 2 max E_n |t| overflows: refused by name before any kernel
+    # runs, not through an overflow warning or a nan
+    with pytest.raises(ValueError, match="leaves the double range"):
+        route(cat5)
+
+
 def test_spectrum_line_at_inverse_T1(cat5, scales5):
     # |C|^2 over [0, 4 T1]: dominant nonzero line sits at 1/T1, i.e. bin 4
     T1 = scales5.T1
@@ -313,3 +328,4 @@ def test_series_accuracy_against_long_double(sym, a):
     bound = _phase_rounding(exp, 0.0, t1)
     print(f"{sym} a = {a:g}: stride tables {err:.2e}, direct {direct:.2e}, bound {bound:.2e}")
     assert err <= bound
+    assert direct <= bound
