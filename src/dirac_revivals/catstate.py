@@ -45,6 +45,7 @@ DEFAULT_TAIL_EPS = 1e-12
 # but n_max as a^2/2 (5,514 at a = 100) and the Hermite tables with it,
 # and past a ~ 1e154 a^2/2 overflows
 A_MAX = 100.0
+_MIN_WEIGHT = 1e-10  # gaussian_fit's threshold, relative to the largest level weight
 
 
 @dataclass(frozen=True)
@@ -257,20 +258,12 @@ def _oracle_expansion(spec: CatSpec, levels: np.ndarray, c: np.ndarray) -> CatEx
 
 def spectral_function(exp: CatExpansion) -> SpectralFunction:
     """Aggregate |c|^2 onto +E_n (r=1) and -E_n (r=2), sorted by energy."""
-    lines = []
-    for i, n in enumerate(exp.levels):
-        E = float(exp.energies[i])
-        wp = float(exp.weight_positive[i])
-        wn = float(exp.weight_negative[i])
-        if wp > 0.0:
-            lines.append((+E, wp))
-        if wn > 0.0:
-            lines.append((-E, wn))
-    lines.sort()
-    return SpectralFunction(lines=lines)
+    E, wp, wn = exp.energies.tolist(), exp.weight_positive.tolist(), exp.weight_negative.tolist()
+    lines = [(e, w) for e, w in zip(E, wp) if w > 0.0] + [(-e, w) for e, w in zip(E, wn) if w > 0.0]
+    return SpectralFunction(lines=sorted(lines))
 
 
-def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
+def gaussian_fit(exp: CatExpansion) -> LevelFit:
     """Least-squares Gaussian fit of the per-sign level weights.
 
     The positive-branch weights (renormalized to unit sum) are fitted on
@@ -285,7 +278,7 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
     """
     m = exp.levels.astype(float) - 1.0
     y = exp.weight_positive  # y.max() > 0: eta_n >= 1/2 on every level
-    keep = y > min_weight * y.max()
+    keep = y > _MIN_WEIGHT * y.max()
     m, y = m[keep], y[keep]
     y = y / y.sum()
 
@@ -321,8 +314,8 @@ def gaussian_fit(exp: CatExpansion, min_weight: float = 1e-10) -> LevelFit:
         if max(map(abs, step.tolist())) <= 1e-13 * max(map(abs, q.tolist())):
             break
     n0, dn = float(q[0]), abs(float(q[1]))
-    if n0 <= 0.0:  # the S state at a = 0, and below a ~ 5.3e-3 under min_weight = 1e-10
+    if n0 <= 0.0:  # the S state at a = 0, and below a ~ 5.3e-3 under _MIN_WEIGHT = 1e-10
         raise ValueError(f"degenerate fit: nonpositive center at a = {exp.spec.a:g}, symmetry "
                          f"{exp.spec.symmetry}: only the m = 0 level carries more than "
-                         f"{min_weight:g} of the largest weight, so the mean level is 0")
+                         f"{_MIN_WEIGHT:g} of the largest weight, so the mean level is 0")
     return LevelFit(n0=n0, delta_n=dn, residual=float(np.sqrt(np.mean(r ** 2))))

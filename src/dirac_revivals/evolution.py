@@ -8,8 +8,8 @@ level sets the characteristic periods
     T1 = 2 pi / (2 |E'|),   T2 = 2 pi / (4 |E''| / 2),   T3 = 2 pi / (8 |E'''| / 6),
 
 half the usual wave-packet scales order by order.  Survival and observables
-take exp(-i E t) from one of two walks: _phase_blocks on a uniform time grid,
-_time_blocks at arbitrary times.
+take exp(-i E t) from one of two walks, _phase_blocks on a uniform time grid
+and _time_blocks at arbitrary times, and reduce it with the one _accumulate.
 """
 
 from __future__ import annotations
@@ -119,14 +119,25 @@ def _check_window(exp: CatExpansion, t0: float, t1: float) -> None:
                          f"at a = {exp.spec.a:g} (t0 = {t0:g}, t1 = {t1:g})")
 
 
-def _weighted_sum(exp: CatExpansion, phase: np.ndarray,
-                  work: np.ndarray | None = None) -> np.ndarray:
-    """sum_+ |c|^2 phase + sum_- |c|^2 conj(phase), pairwise along the ascending-level
-    axis: a row's bits do not depend on the rows beside it (matmul would re-block).
-    `work`, if given, is scratch of phase's shape for the products."""
+def _accumulate(rows, coefficients: list, blocks) -> None:
+    """rows[i][k:k+n] = stat + sum c_n Re(phase) + sum d_n Im(phase) of the i-th (stat,
+    c_n, d_n), None skipped, on the (k, phase) blocks of a walk: pairwise sums along the
+    levels, so a row's bits do not depend on the rows beside it (matmul would re-block)."""
+    for k, phase in blocks:
+        for row, (stat, cosc, sinc) in zip(rows, coefficients):
+            seg = row[k:k + len(phase)]
+            seg[...] = stat
+            if cosc is not None:
+                seg += (phase.real * cosc).sum(axis=-1)
+            if sinc is not None:
+                seg += (phase.imag * sinc).sum(axis=-1)
+
+
+def _survival_rows(exp: CatExpansion) -> list:
+    """_accumulate's two coefficient rows of C on e^{-iEt}, into Re and Im of a complex
+    output: Re C = sum (w+ + w-) Re(phase) and Im C = sum (w+ - w-) Im(phase)."""
     w_pos, w_neg = exp.weight_positive, exp.weight_negative
-    pos = np.multiply(phase, w_pos, out=work).sum(axis=-1)
-    return pos + np.multiply(np.conjugate(phase, out=work), w_neg, out=work).sum(axis=-1)
+    return [(0.0, w_pos + w_neg, None), (0.0, None, w_pos - w_neg)]
 
 
 def _time_blocks(exp: CatExpansion, E: np.ndarray, t):
@@ -149,21 +160,20 @@ def survival_amplitude(exp: CatExpansion, t):
     [1, 40], M in [0, 5], |kz| <= 1 is 2 eps).
     """
     out = np.empty(np.size(t), dtype=complex)
-    for i, phase in _time_blocks(exp, exp.energies, t):
-        out[i:i + len(phase)] = _weighted_sum(exp, phase)
+    _accumulate((out.real, out.imag), _survival_rows(exp), _time_blocks(exp, exp.energies, t))
     return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 
 def _phase_blocks(E: np.ndarray, t0: float, dt: float, samples: int):
     """(k0, table) blocks of exp(-i E t_k), table[j] at t_{k0+j} = t0 + (k0 + j) dt.
 
-    Sample k = q S + r takes P[q] * R[r]: R = exp(-i E r dt), r < S, once, and one P
-    row exp(-i E (t0 + q S dt)) per stride, (samples/S + S) exps per frequency E_n.
+    Sample k = q S + r takes P[q] * R[r]: R = exp(-i E r dt), r < S = min(64, samples),
+    once, and one P row exp(-i E (t0 + q S dt)) per stride, (samples/S + S) exps per E_n.
     A row's bits depend on (t0, dt, k) alone, whatever the chunking.  Blocks are
     whole strides, at most _block_rows rows, views of one table per call (fresh
     temporaries would fault their pages in again): read one before the next.
     """
-    S = _STRIDE
+    S = min(_STRIDE, samples)
     R = np.exp(-1j * np.multiply.outer(dt * np.arange(S), E))
     n_q, step = -(-samples // S), max(1, _block_rows(len(E)) // S)
     table = np.empty((min(step, n_q) * S, len(E)), dtype=complex)
@@ -183,10 +193,8 @@ def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int
     """
     _, dt = _uniform_grid(t0, t1, samples)
     _check_window(exp, t0, t1)
-    out, work = np.empty(samples, dtype=complex), None  # one scratch table per call
-    for k, phase in _phase_blocks(exp.energies, t0, dt, samples):
-        work = np.empty_like(phase) if work is None else work[:len(phase)]
-        out[k:k + len(phase)] = _weighted_sum(exp, phase, work)
+    out = np.empty(samples, dtype=complex)
+    _accumulate((out.real, out.imag), _survival_rows(exp), _phase_blocks(exp.energies, t0, dt, samples))
     return TimeSeries(t0=t0, dt=dt, values=out)
 
 

@@ -61,7 +61,8 @@ def hermite_table(n_max: int, s: np.ndarray, eB: float = 1.0) -> np.ndarray:
     every 16 steps the live pair of rows of any column past 2^600 is divided
     by 2^600 (exact) after the rows before it have been scaled back with
     ldexp.  Columns that need neither run the plain recurrence, bit for bit.
-    So any finite s works, and values below the double range read 0.
+    So any finite s works: values below the double range read 0, and past |s| =
+    2^30, beyond any table's turning point, a column reads 0 without a seed.
     """
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
@@ -70,11 +71,13 @@ def hermite_table(n_max: int, s: np.ndarray, eB: float = 1.0) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("s must be finite (no NaN or inf)")
+    far = np.abs(s) > 2.0 ** 30
+    s = np.where(far, 0.0, s)  # a zero seed below keeps far columns 0 through the recurrence
     log_seed = -0.5 * s * s
     shift = np.where(log_seed < -600.0, np.floor(log_seed / _LN2), 0.0)
     expo = shift.astype(np.int64)
     out = np.empty((n_max + 1,) + s.shape)
-    out[0] = np.pi ** -0.25 * np.exp(log_seed - shift * _LN2)
+    out[0] = np.where(far, 0.0, np.pi ** -0.25 * np.exp(log_seed - shift * _LN2))
     if n_max >= 1:
         out[1] = np.sqrt(2.0) * s * out[0]
     done = 0  # rows below `done` hold unscaled values

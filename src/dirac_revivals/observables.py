@@ -10,7 +10,8 @@ meet only on equal Hermite orders.  `matrix_elements` evaluates the same
 bilinears for every level and label pair by Gauss-Hermite quadrature and
 serves as the independent oracle.  cos/sin(2Et) comes from the survival's
 phase walks at the frequencies -2E: _phase_blocks on uniform grids
-(_grid_values), _time_blocks at arbitrary times (expectation_values).
+(_grid_values), _time_blocks at arbitrary times (expectation_values); the
+survival's evolution._accumulate reduces both.
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -26,7 +27,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .landau import LABELS, PhysicalParams, _component_table
-from .evolution import TimeSeries, _check_window, _phase_blocks, _time_blocks, _uniform_grid
+from .evolution import TimeSeries, _accumulate, _check_window, _phase_blocks, _time_blocks, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -167,30 +168,18 @@ def _coefficients(exp: CatExpansion, gens) -> list:
             for stat, cosc, sinc in (_series_coefficients(exp, g, table) for g in gens)]
 
 
-def _accumulate(vals: np.ndarray, coefficients: list, cos, sin) -> None:
-    """vals[i] = stat + c_n cos + d_n sin of generator i on one (time x level) block,
-    summed pairwise along the levels: a row's bits do not depend on its neighbours."""
-    for row, (stat, cosc, sinc) in zip(vals, coefficients):
-        row[...] = stat
-        if cosc is not None:
-            row += (cos * cosc).sum(axis=-1)
-        if sinc is not None:
-            row += (sin * sinc).sum(axis=-1)
-
-
 def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
     """<Gamma>(t) from the direct bilinear engine; t scalar or array of any shape.
 
-    A sequence of generators g gives stacked rows on one cos/sin(2Et) basis,
-    read off the phases of evolution._time_blocks at the frequencies -2E, one
-    exp per cell.  The bits do not depend on the chunking, and a scalar t gives
-    its array element.  Uniform grids take the stride route of _grid_values.
+    A sequence of generators g gives stacked rows, summed by evolution._accumulate
+    on the phases of _time_blocks at the frequencies -2E (one exp per cell).  The
+    bits do not depend on the chunking, and a scalar t gives its array element.
+    Uniform grids take the stride route of _grid_values.
     """
     single = isinstance(g, GeneratorId)
     coefficients = _coefficients(exp, (g,) if single else g)
     vals = np.empty((len(coefficients), np.size(t)))
-    for i, phase in _time_blocks(exp, -2.0 * exp.energies, t):
-        _accumulate(vals[:, i:i + len(phase)], coefficients, phase.real, phase.imag)
+    _accumulate(vals, coefficients, _time_blocks(exp, -2.0 * exp.energies, t))
     vals = vals.reshape((len(coefficients),) + np.shape(t))
     if single:
         vals = vals[0]
@@ -209,8 +198,7 @@ def _grid_values(exp: CatExpansion, gens, t0: float, t1: float,
     _check_window(exp, t0, t1)
     coefficients = _coefficients(exp, gens)
     vals = np.empty((len(coefficients), samples))
-    for k, phase in _phase_blocks(-2.0 * exp.energies, t0, dt, samples):
-        _accumulate(vals[:, k:k + len(phase)], coefficients, phase.real, phase.imag)
+    _accumulate(vals, coefficients, _phase_blocks(-2.0 * exp.energies, t0, dt, samples))
     return vals, dt
 
 

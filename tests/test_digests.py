@@ -19,9 +19,9 @@ DIGESTS = {
     "spectral --a 5 --mass 0":
         "470557d6f331b8b2c7111539d3ad871f3b2828522b22a5536445b6bdf05f75d3",
     "survival --a 5 --tmin 0 --tmax 444 --samples 120001":
-        "3696175d22c8bf021c753c4f1ad524b94f8ee260db332fbbbc0811f30e12ec41",
+        "3ad4cb01e59db08c23bf3f5bdb671b04a98796f629ff0f3d3c3d4846f0a6af02",
     "survival --a 5 --tmin 0 --tmax 444 --samples 120001 --complex":
-        "b5820d29e36196b0cc866c096e1d40cf499594f26994ad430096c65ce407909a",
+        "5d554f4018cb696a4ae0dfdf2f41c78d9f2b7cf06fe998763e876b153b5f37fb",
     "timescales --a 5 --ab-ratio 2.04":
         "7aef641d14f474acda39eb366d71c34cb46564ec9a5f7cd77d897d373b4b4d31",
     "density --a 5 --ab-ratio 2.04 --tmax 106 --nt 301 --ns 1201":
@@ -33,7 +33,7 @@ DIGESTS = {
     "validate --a 5":
         "2645b636787fa4e9c5635253565750644fc61b6b0207804943a0e63941306a36",
     "survival --a 20 --samples 120001":
-        "94f0a11f80e0f83da7d2f2ba9d216e3db0090fab063a49c183bcdd376509ab18",
+        "c652737cb780641c01dee47774f831742eb38709f8fe4ebc64b0db55f5e6479c",
     "timescales --a 20 --mass 1":
         "3dce94caf1e1238f61ae35f4988ddd471862e4068d5e2276b3eb8ad6e2685bf8",
     "density --a 20 --ab-ratio 2.04 --nt 301 --ns 1201":

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_s
                                       survival_amplitude, survival_series, time_scales)
 from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import find_peaks
-from dirac_revivals.observables import GeneratorId, expectation_values
+from dirac_revivals.observables import GeneratorId, expectation_series, expectation_values
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
 
@@ -178,11 +179,11 @@ class TestSurvivalSeries:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-    @pytest.mark.parametrize("samples, bound_mib", [(4001, 1.5), (101, 0.7)])
+    @pytest.mark.parametrize("samples, bound_mib", [(4001, 1.2), (101, 0.55)])
     def test_series_memory_of_one_scan_step(self, samples, bound_mib):
-        # one phase and one scratch table of min(step, n_q) * S rows per call
-        # (2 x 0.49 MiB at a = 20), not four fresh temporaries per block; a
-        # 101-sample grid sizes them to its two strides
+        # one phase table of min(step, n_q) * S rows per call (0.49 MiB at
+        # a = 20) and one real (rows x L) product at a time in the reducer; a
+        # 101-sample grid sizes the table to its two strides
         exp = expand(CatSpec("S", 20.0, MASSLESS))
         tracemalloc.start()
         try:
@@ -203,9 +204,8 @@ class TestSurvivalSeries:
             mp.setattr(evolution, "_BLOCK_CELLS", block_cells)
             values = survival_series(exp, 0.0, t1, samples).values
         # k = 0 at t0 = 0 has the phase 1 exactly: C(0) is the weight sum,
-        # in the kernel's pairwise order over the complex weights
-        total = (exp.weight_positive + 0j).sum() + (exp.weight_negative + 0j).sum()
-        assert values[0] == abs(total)
+        # in the reducer's pairwise order over Re C's coefficients w+ + w-
+        assert values[0] == (exp.weight_positive + exp.weight_negative).sum()
         assert values.max() <= 1.0 + 4.0 * np.finfo(float).eps
         assert np.array_equal(values, survival_series(exp, 0.0, t1, samples).values)
 
@@ -285,6 +285,26 @@ def test_direct_routes_refuse_an_overflowing_window(cat5, route):
     # runs, not through an overflow warning or a nan
     with pytest.raises(ValueError, match="leaves the double range"):
         route(cat5)
+
+
+@pytest.mark.parametrize("series", [
+    lambda exp: survival_series(exp, 0.0, 1e306, 2).values,
+    lambda exp: expectation_series(exp, GeneratorId.GAMMA0, 0.0, 1e306, 2).series.values,
+], ids=["survival", "observables"])
+def test_stride_table_sized_to_a_short_grid(cat5, series):
+    # two samples need R = exp(-i E r dt) at r = 0 and 1 only: a table over all
+    # S = 64 offsets would overflow E r dt although the window is accepted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = series(cat5)
+    assert values.shape == (2,) and np.isfinite(values).all()
+
+
+def test_short_grid_has_the_bits_of_a_long_grids_head(cat5):
+    # a grid shorter than one stride keeps the phases P[0] R[r] of a longer
+    # grid with the same t0 and dt (dt = 0.25 exactly on both)
+    short = autocorrelation_series(cat5, 0.0, 1.0, 5).values
+    assert np.array_equal(short, autocorrelation_series(cat5, 0.0, 49.75, 200).values[:5])
 
 
 def test_spectrum_line_at_inverse_T1(cat5, scales5):

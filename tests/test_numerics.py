@@ -1,6 +1,7 @@
 """Special-function kernels: values, stability, quadrature, peak finding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ class TestHermiteFn:
 
     def test_far_tail_underflows_to_zero(self):
         assert hermite_table(3, [60.0])[3, 0] == 0.0
+
+    def test_far_columns_read_zero(self):
+        # past |s| = 2^30 a column is 0 without its seed, whose s*s overflows
+        # past ~1.3e154 and whose int64 exponent past ~3.6e9; the rest keep their bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = hermite_table(20, [4e9, -1e154, 1e300, 2.0 ** 30, 0.5])
+        assert np.all(table[:, :4] == 0.0)
+        assert np.array_equal(table[:, 4], hermite_table(20, [0.5])[:, 0])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
