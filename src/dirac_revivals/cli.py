@@ -7,7 +7,7 @@ flat `key = value` config file, which overrides the defaults; outputs are
 deterministic (identical config -> byte-identical files).  Every subcommand
 runs one path: `_prepare` (spec, expansion, fit, time window), its kernel,
 its writer.  Exit codes: 0 ok, 1 validation failure, 2 I/O error, 3 bad
-configuration.
+configuration (a grid too large to allocate included).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import dataio
 from .catstate import (A_MAX, CatSpec, LevelFit, _expand_ladder, _oracle_expansion,
                        _parity_weights, gaussian_fit, oracle_raw_overlaps, spectral_function)
 from .density import density_grid
-from .evolution import (_uniform_grid, autocorrelation_series, kz_for_ab_ratio,
+from .evolution import (_axis, _uniform_grid, autocorrelation_series, kz_for_ab_ratio,
                         survival_series, time_scales)
 from .landau import PhysicalParams
 from .observables import (_CORRELATION_GENERATORS, GeneratorId, _concurrence_sq_formula,
@@ -181,22 +181,22 @@ def make_spec(cfg: dict) -> tuple[CatSpec, dict]:
     return spec, info
 
 
-def _solve(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None, tuple | None]:
-    """make_spec, plus the ab_ratio solve's last fit and its ladder (None, None without)."""
+def _solve(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None, tuple]:
+    """make_spec, plus the ab_ratio solve's last fit (None without) and the level ladder."""
     def spec_at(kz: float) -> CatSpec:
         return CatSpec(cfg["symmetry"], cfg["a"],
                        PhysicalParams(M=cfg["mass"], kz=kz, eB=cfg["eB"]))
 
+    kz = cfg.get("kz")
+    spec = spec_at(kz if kz is not None else 0.0)  # the spec's checks refuse a > A_MAX first
+    ladder = _parity_weights(spec.symmetry, spec.a, cfg["tail_eps"])  # the same at every kz
     if cfg.get("ab_ratio") is None:
-        kz = cfg.get("kz")
-        return spec_at(kz if kz is not None else 0.0), {}, None, None
+        return spec, {}, None, ladder
 
     def solve(fit: LevelFit) -> float:
         return kz_for_ab_ratio(cfg["ab_ratio"], fit.n0, cfg["eB"])
 
-    spec = spec_at(0.0)
-    ladder = _parity_weights(spec.symmetry, spec.a, cfg["tail_eps"])  # the same at every kz
-    fit = gaussian_fit(_expand_ladder(spec, ladder))
+    fit = gaussian_fit(_expand_ladder(spec_at(0.0), ladder))
     kz, fits, converged = solve(fit), 1, False
     while not converged and fits < _KZ_MAX_FITS:
         # a kz outside the domain is refused here; only a failed fit ends the loop
@@ -215,14 +215,12 @@ def _solve(cfg: dict) -> tuple[CatSpec, dict, LevelFit | None, tuple | None]:
 def _prepare(cfg: dict, command: str):
     """(spec, exp, window, fit, info): the setup every command runs before its kernel.
 
-    exp is built on the ladder of make_spec's kz solve, and fit is that solve's
-    last fit.  Without ab_ratio a fit is made only where a period is read: by
-    timescales, and for a default tmax, which window = (tmin, tmax) then holds.
-    timescales reads only the fit, so it builds no expansion after a solve.
+    exp is built on _solve's level ladder, and fit is its kz solve's last fit.
+    Without ab_ratio a fit is made only where a period is read: by timescales,
+    and for a default tmax, which window = (tmin, tmax) then holds.  timescales
+    reads only the fit, so it builds no expansion after a solve.
     """
     spec, info, fit, ladder = _solve(cfg)
-    if ladder is None:  # no ab_ratio, so no fit either
-        ladder = _parity_weights(spec.symmetry, spec.a, cfg["tail_eps"])
     fit_only = fit is not None and command == "timescales"
     exp = None if fit_only else _expand_ladder(spec, ladder)
     default, tmax = _DEFAULT_TMAX.get(command), cfg["tmax"]
@@ -293,14 +291,13 @@ _EXPORTED_GENERATORS = (
 def cmd_observables(cfg: dict) -> int:
     """Generator series, concurrence^2 and mutual information."""
     _, exp, (tmin, tmax), *_ = _prepare(cfg, "observables")
-    ts, _ = _uniform_grid(tmin, tmax, cfg["samples"])
-    rows, _ = _grid_values(exp, _EXPORTED_GENERATORS, tmin, tmax, cfg["samples"])
+    rows, dt = _grid_values(exp, _EXPORTED_GENERATORS, tmin, tmax, cfg["samples"])
     columns = {g.value: row for g, row in zip(_EXPORTED_GENERATORS, rows)}
     # the correlation quantifiers' inputs are all exported columns
     g0, sz, g5gz, igz, az = (columns[g.value] for g in _CORRELATION_GENERATORS)
     columns["concurrence_sq"] = _concurrence_sq_formula(g0, sz)
     columns["mutual_information"] = _mutual_information_formula(g0, sz, g5gz, igz, az)
-    dataio.write_columns_csv(cfg["out"], ts, columns)
+    dataio.write_columns_csv(cfg["out"], _axis(tmin, dt, cfg["samples"]), columns)
     return EXIT_OK
 
 
@@ -366,8 +363,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command](resolve_config(args))
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, MemoryError) as exc:  # numpy's message names the allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

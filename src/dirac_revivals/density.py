@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatExpansion
-from .evolution import _check_window, _level_rows, _profile_step, _uniform_grid
+from .evolution import _axis, _check_window, _level_rows, _profile_step, _uniform_grid
 
 __all__ = ["SpatialGrid2D", "probability_density", "density_closed_form", "density_grid"]
 
@@ -28,8 +28,9 @@ __all__ = ["SpatialGrid2D", "probability_density", "density_closed_form", "densi
 class SpatialGrid2D:
     """Density samples on an (s, t) rectangle; values[i] is the row at t_i.
 
-    eB records the magnetic scale so row integrals use the physical
-    measure ds/sqrt(eB) the density is normalized against.
+    s and t are _axis(min, (max - min)/(n - 1), n), the axes density_grid evaluates on
+    (a last point may sit an ulp off its bound); eB gives the row integrals the
+    physical measure ds/sqrt(eB) the density is normalized against.
     """
 
     s_min: float
@@ -43,11 +44,11 @@ class SpatialGrid2D:
 
     @property
     def s(self) -> np.ndarray:
-        return np.linspace(self.s_min, self.s_max, self.ns)
+        return _axis(self.s_min, (self.s_max - self.s_min) / max(self.ns - 1, 1), self.ns)
 
     @property
     def t(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.nt)
+        return _axis(self.t_min, (self.t_max - self.t_min) / max(self.nt - 1, 1), self.nt)
 
     def row_integrals(self) -> np.ndarray:
         """Trapezoidal integral of each fixed-t row over ds/sqrt(eB)."""
@@ -100,9 +101,9 @@ def density_closed_form(exp: CatExpansion, s, t: float):
 def density_grid(exp: CatExpansion, s_min: float, s_max: float, ns: int,
                  t_min: float, t_max: float, nt: int) -> SpatialGrid2D:
     """Fill an (s, t) rectangle with probability_density rows from one Hermite table."""
-    s, _ = _uniform_grid(s_min, s_max, ns)
-    ts, _ = _uniform_grid(t_min, t_max, nt)
-    _check_window(exp, t_min, t_max)
+    s = _axis(s_min, _uniform_grid(s_min, s_max, ns), ns)
+    ts = _axis(t_min, _uniform_grid(t_min, t_max, nt), nt)
+    _check_window(exp, ts[0], ts[-1])
     F_lo, F_hi = _level_rows(exp, s)
     values = np.empty((nt, ns))
     for i, t in enumerate(ts):

@@ -44,7 +44,7 @@ class TimeScales:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniform samples values[k] at t = t0 + k*dt (real or complex)."""
+    """Uniform samples values[k] at t = t0 + k*dt (real or complex); times = _axis(t0, dt, n)."""
 
     t0: float
     dt: float
@@ -59,7 +59,7 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.values))
+        return _axis(self.t0, self.dt, len(self.values))
 
 
 def time_scales(n0: float, p: PhysicalParams) -> TimeScales:
@@ -91,15 +91,23 @@ def kz_for_ab_ratio(ratio: float, n0: float, eB: float = 1.0) -> float:
     return ratio * math.sqrt(2.0 * n0 * eB)
 
 
-def _uniform_grid(t0: float, t1: float, samples: int) -> tuple[np.ndarray, float]:
-    """Times and spacing of `samples` uniform samples over [t0, t1]."""
+def _axis(x0: float, dx: float, n: int) -> np.ndarray:
+    """x0 + k dx for k < n: every uniform axis, unchecked (n = 0 and 1 give [] and [x0])."""
+    return x0 + dx * np.arange(n)
+
+
+def _uniform_grid(t0: float, t1: float, samples: int) -> float:
+    """Spacing dt of the axis _axis(t0, dt, samples) over [t0, t1]; refuses fewer than 2
+    samples, a span not finite or not positive, and a dt = (t1 - t0)/(samples - 1) of 0."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if not math.isfinite(float(t1) - float(t0)):  # also false for inf or nan bounds
         raise ValueError(f"grid bounds must be finite, with a finite span; got [{t0}, {t1}]")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    return np.linspace(t0, t1, samples), (t1 - t0) / (samples - 1)
+    if not (dt := (t1 - t0) / (samples - 1)):
+        raise ValueError(f"spacing (t1 - t0)/(samples - 1) = {t1 - t0:g}/{samples - 1} rounds to 0")
+    return dt
 
 
 _BLOCK_CELLS = 2 ** 15  # cells per block of a (time x level) table: 0.5 MB complex, fits in L2
@@ -164,15 +172,16 @@ def survival_amplitude(exp: CatExpansion, t):
     return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 
-def _phase_blocks(E: np.ndarray, t0: float, dt: float, samples: int):
+def _phase_blocks(exp: CatExpansion, E: np.ndarray, t0: float, dt: float, samples: int):
     """(k0, table) blocks of exp(-i E t_k), table[j] at t_{k0+j} = t0 + (k0 + j) dt.
 
-    Sample k = q S + r takes P[q] * R[r]: R = exp(-i E r dt), r < S = min(64, samples),
-    once, and one P row exp(-i E (t0 + q S dt)) per stride, (samples/S + S) exps per E_n.
-    A row's bits depend on (t0, dt, k) alone, whatever the chunking.  Blocks are
-    whole strides, at most _block_rows rows, views of one table per call (fresh
-    temporaries would fault their pages in again): read one before the next.
+    Refuses t0 and t0 + (samples - 1) dt first.  Sample k = q S + r takes P[q] * R[r]:
+    R = exp(-i E r dt), r < S = min(64, samples), once, and one P row exp(-i E (t0 + q S dt))
+    per stride, (samples/S + S) exps per E_n.  A row's bits depend on (t0, dt, k) alone,
+    whatever the chunking.  Blocks are whole strides, at most _block_rows rows, views of one
+    table per call (fresh temporaries would fault their pages in again): read one before the next.
     """
+    _check_window(exp, t0, t0 + dt * (samples - 1))
     S = min(_STRIDE, samples)
     R = np.exp(-1j * np.multiply.outer(dt * np.arange(S), E))
     n_q, step = -(-samples // S), max(1, _block_rows(len(E)) // S)
@@ -191,10 +200,10 @@ def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int
     survival_amplitude at series.times by at most max|E| max(|t0|, |t1|) eps,
     the rounding of the phase argument E t that both routes carry.
     """
-    _, dt = _uniform_grid(t0, t1, samples)
-    _check_window(exp, t0, t1)
+    dt = _uniform_grid(t0, t1, samples)
     out = np.empty(samples, dtype=complex)
-    _accumulate((out.real, out.imag), _survival_rows(exp), _phase_blocks(exp.energies, t0, dt, samples))
+    _accumulate((out.real, out.imag), _survival_rows(exp),
+                _phase_blocks(exp, exp.energies, t0, dt, samples))
     return TimeSeries(t0=t0, dt=dt, values=out)
 
 

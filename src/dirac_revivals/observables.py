@@ -27,7 +27,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .landau import LABELS, PhysicalParams, _component_table
-from .evolution import TimeSeries, _accumulate, _check_window, _phase_blocks, _time_blocks, _uniform_grid
+from .evolution import TimeSeries, _accumulate, _phase_blocks, _time_blocks, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -194,11 +194,10 @@ def _grid_values(exp: CatExpansion, gens, t0: float, t1: float,
     -2E, one complex product per cell; a row's bits depend on (t0, dt, k) alone.
     It errs by at most 2 max E max|t| eps sum(|c_n| + |d_n|), as the direct route.
     """
-    _, dt = _uniform_grid(t0, t1, samples)
-    _check_window(exp, t0, t1)
+    dt = _uniform_grid(t0, t1, samples)
     coefficients = _coefficients(exp, gens)
     vals = np.empty((len(coefficients), samples))
-    _accumulate(vals, coefficients, _phase_blocks(-2.0 * exp.energies, t0, dt, samples))
+    _accumulate(vals, coefficients, _phase_blocks(exp, -2.0 * exp.energies, t0, dt, samples))
     return vals, dt
 
 

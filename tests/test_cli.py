@@ -615,6 +615,71 @@ def test_overflowing_window_phase_is_config_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["survival", "--samples", "3"],
+    ["density", "--nt", "3", "--ns", "5"],
+    ["density", "--nt", "3", "--ns", "5", "--format", "json"],
+    ["observables", "--samples", "3"],
+], ids=["survival", "density-csv", "density-json", "observables"])
+def test_window_whose_spacing_rounds_to_zero_is_config_error(tmp_path, capsys, argv):
+    # 5e-324 / 2 rounds to 0, so three samples would repeat their times or write
+    # times other than those their values were computed at
+    out = tmp_path / "out"
+    assert main(argv + ["--a", "5", "--tmax", "5e-324", "--out", str(out)]) == EXIT_CONFIG
+    assert ("spacing (t1 - t0)/(samples - 1) = 4.94066e-324/2 rounds to 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_every_uniform_axis_is_x0_plus_k_dx(tmp_path):
+    # over [0, 0.9] in 11 samples, dx = 0.09 and the last point is 10 * 0.09 =
+    # 0.89999999999999991, not the bound 0.9: every command writes the time its
+    # values were computed at, and the library axes are the one helper's bits
+    from dirac_revivals.density import density_grid
+    from dirac_revivals.evolution import _axis, survival_series
+
+    last = "%.17g" % (0.0 + 10 * 0.09)
+    assert last != "%.17g" % 0.9
+    for argv in (["survival", "--samples", "11"], ["observables", "--samples", "11"],
+                 ["density", "--nt", "11", "--ns", "3"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--a", "5", "--tmax", "0.9", "--out", str(out)]) == EXIT_OK
+        header, *_, row = out.read_text().splitlines()[1:]
+        assert row.split(",")[header.split(",").index("t")] == last, argv[0]
+    exp = expand(CatSpec("S", 5.0, PhysicalParams()))
+    series = survival_series(exp, 0.0, 0.9, 11)
+    assert series.times.tobytes() == _axis(0.0, 0.9 / 10, 11).tobytes()
+    grid = density_grid(exp, -1.0 / 3.0, 0.7, 7, 0.0, 0.9, 11)
+    assert grid.s.tobytes() == _axis(-1.0 / 3.0, (0.7 + 1.0 / 3.0) / 6, 7).tobytes()
+    assert grid.t.tobytes() == _axis(0.0, 0.9 / 10, 11).tobytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs an address-space limit that bounds every mapping")
+@pytest.mark.parametrize("argv", [
+    ["survival", "--a", "5", "--samples", "10000000000"],
+    ["observables", "--a", "5", "--samples", "10000000000"],
+    ["density", "--a", "5", "--smin=-1e10", "--smax", "1e10", "--nt", "2"],
+], ids=["survival", "observables", "density"])
+def test_oversized_grid_is_config_error(tmp_path, argv):
+    # each grid asks for 74 GiB or more.  Only a child capped at 2 GiB of address
+    # space runs it, so its allocation fails at once and nothing is touched: the
+    # refusal is a configuration error naming the allocation, not a traceback
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2 ** 31 if hard == resource.RLIM_INFINITY else min(2 ** 31, hard)
+    src = os.path.dirname(os.path.dirname(dirac_revivals.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "dirac_revivals.cli", *argv, "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert re.fullmatch(r"error: Unable to allocate .+ for an array with shape .+\n", done.stderr)
+    assert not out.exists()
+
+
 def test_density_span_overflowing_the_nyquist_rule_is_config_error(tmp_path, capsys):
     # a finite s window whose span overflows, with the default ns: refused as an
     # explicit --ns refuses it, not by an OverflowError from the Nyquist count

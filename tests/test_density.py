@@ -160,3 +160,6 @@ class TestGrid:
             density_grid(exp, -1.0, math.inf, 10, 0.0, 1.0, 4)
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             density_grid(exp, -1.0, 1.0, 10, 0.0, math.inf, 4)
+        # 5e-324 / 2 rounds to 0: the three rows would share or mislabel their times
+        with pytest.raises(ValueError, match=r"spacing .* = 4.94066e-324/2 rounds to 0"):
+            density_grid(exp, -1.0, 1.0, 10, 0.0, 5e-324, 3)

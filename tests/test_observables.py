@@ -411,6 +411,7 @@ GRID_FUNCTIONS = {
     (0.0, math.inf, 11, "grid bounds must be finite"),
     (math.nan, 1.0, 11, "grid bounds must be finite"),
     (-1e308, 1e308, 11, "grid bounds must be finite"),
+    (0.0, 5e-324, 3, r"spacing \(t1 - t0\)/\(samples - 1\) = 4.94066e-324/2 rounds to 0"),
 ])
 def test_uniform_grid_validation(fig7, name, t0, t1, samples, message):
     with pytest.raises(ValueError, match=message):
