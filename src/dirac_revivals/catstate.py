@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landau import LABELS, PhysicalParams, _component_table, _params_arrays
+from .landau import _POPULATED, PhysicalParams, _component_table, _params_arrays
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -229,8 +229,7 @@ def oracle_raw_overlaps(spec: CatSpec, n_max: int) -> tuple[np.ndarray, np.ndarr
     levels = np.arange(1, n_max + 1)
     # only the first spinor component meets the initial state; it sits on
     # F_{n-1} for every label, with the label's own coefficient
-    coef, _ = _component_table(LABELS, levels, spec.params)
-    return levels, coef[:, :, 0] * overlap_first[levels - 1, None]
+    return levels, _component_table(levels, spec.params)[:, :, 0] * overlap_first[levels - 1, None]
 
 
 def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
@@ -249,7 +248,7 @@ def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
 
 def _oracle_expansion(spec: CatSpec, levels: np.ndarray, c: np.ndarray) -> CatExpansion:
     """expand_oracle from the arrays of oracle_raw_overlaps(spec, n_max)."""
-    c1, c2, c3 = c[:, 0], c[:, 2], c[:, 3]
+    c1, c2, c3 = c[:, _POPULATED].T
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
     if norm == 0.0:
         raise ValueError("null state: no overlap with any level")

@@ -56,16 +56,16 @@ class SpatialGrid2D:
         return np.trapezoid(self.values, dx=ds, axis=1) / math.sqrt(self.eB)
 
 
-def _density_row(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray, t: float) -> np.ndarray:
-    """psi^dagger psi at time t on the grid of the level rows F_lo, F_hi."""
-    lo, hi = _profile_step(exp, F_lo, F_hi, t)
+def _density_row(exp: CatExpansion, rows: tuple, t: float) -> np.ndarray:
+    """psi^dagger psi at time t on the grid of rows = _level_rows(exp, s)."""
+    lo, hi = _profile_step(exp, rows, t)
     return (lo * lo).sum(axis=0) + (hi * hi).sum(axis=0)
 
 
 def probability_density(exp: CatExpansion, s, t: float):
     """psi^dagger psi at (s, t); integrates to 1 over ds/sqrt(eB)."""
     _check_window(exp, t, t)
-    dens = _density_row(exp, *_level_rows(exp, s), t)
+    dens = _density_row(exp, _level_rows(exp, s), t)
     return dens if np.ndim(s) else float(dens[0])
 
 
@@ -82,7 +82,7 @@ def density_closed_form(exp: CatExpansion, s, t: float):
     A, B, eta = exp.A, exp.B, exp.eta
     E = exp.energies
     rootP = np.sqrt(exp.level_weights)
-    F_lo, F_hi = _level_rows(exp, s)
+    *_, F_lo, F_hi = _level_rows(exp, s)
 
     ct = np.cos(E * t)
     st = np.sin(E * t)
@@ -104,10 +104,10 @@ def density_grid(exp: CatExpansion, s_min: float, s_max: float, ns: int,
     s = _axis(s_min, _uniform_grid(s_min, s_max, ns), ns)
     ts = _axis(t_min, _uniform_grid(t_min, t_max, nt), nt)
     _check_window(exp, ts[0], ts[-1])
-    F_lo, F_hi = _level_rows(exp, s)
+    rows = _level_rows(exp, s)
     values = np.empty((nt, ns))
     for i, t in enumerate(ts):
-        values[i] = _density_row(exp, F_lo, F_hi, float(t))
+        values[i] = _density_row(exp, rows, float(t))
     return SpatialGrid2D(s_min=s_min, s_max=s_max, ns=ns,
                          t_min=t_min, t_max=t_max, nt=nt, values=values,
                          eB=exp.spec.params.eB)

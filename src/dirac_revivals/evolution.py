@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import PhysicalParams, energy_derivatives
+from .landau import _POPULATED, PhysicalParams, _component_table, energy_derivatives
 from .numerics import hermite_table
 
 __all__ = [
@@ -98,7 +98,9 @@ def _axis(x0: float, dx: float, n: int) -> np.ndarray:
 
 def _uniform_grid(t0: float, t1: float, samples: int) -> float:
     """Spacing dt of the axis _axis(t0, dt, samples) over [t0, t1]; refuses fewer than 2
-    samples, a span not finite or not positive, and a dt = (t1 - t0)/(samples - 1) of 0."""
+    samples, a span not finite or not positive, a dt = (t1 - t0)/(samples - 1) of 0, and a
+    dt <= 4 ulp(max(|t0|, |t1|)): fl(k dt) and the sum each round by at most one ulp,
+    so above that every t0 + k dt strictly increases."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if not math.isfinite(float(t1) - float(t0)):  # also false for inf or nan bounds
@@ -107,6 +109,9 @@ def _uniform_grid(t0: float, t1: float, samples: int) -> float:
         raise ValueError("t1 must exceed t0")
     if not (dt := (t1 - t0) / (samples - 1)):
         raise ValueError(f"spacing (t1 - t0)/(samples - 1) = {t1 - t0:g}/{samples - 1} rounds to 0")
+    if dt <= 4.0 * math.ulp(bound := max(abs(t0), abs(t1))):
+        raise ValueError(f"spacing {dt:g} is at most 4 ulp of max(|t0|, |t1|) = {bound:.17g}: "
+                         f"the grid points t0 + k*dt would repeat")
     return dt
 
 
@@ -213,29 +218,29 @@ def survival_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> Ti
     return TimeSeries(t0=t0, dt=series.dt, values=np.abs(series.values))
 
 
-def _level_rows(exp: CatExpansion, s) -> tuple[np.ndarray, np.ndarray]:
-    """(F_{n-1}, F_n) of every kept level n on the grid s: one Hermite table."""
+def _level_rows(exp: CatExpansion, s) -> tuple[np.ndarray, ...]:
+    """(C, S, F_{n-1}, F_n) over the kept levels n, on the grid s: psi_j = sum_n (C Re ph
+    - i S Im ph) F_{n-1+j%2} at ph = exp(-iEt), with C = pos + neg and S = neg - pos the
+    real (4, L) rows of pos = c_r1_plus u(1,+) (on ph) and neg = c_r2_plus u(2,+) +
+    c_r2_minus u(2,-) (on conj(ph)), from one spinor table and one Hermite table."""
+    u1, u2, u3 = _component_table(exp.levels, exp.spec.params)[:, _POPULATED].transpose(1, 2, 0)
+    pos = exp.c_r1_plus * u1
+    neg = exp.c_r2_plus * u2 + exp.c_r2_minus * u3
     table = hermite_table(int(exp.levels.max()), np.atleast_1d(s), exp.spec.params.eB)
-    return table[exp.levels - 1], table[exp.levels]
+    return pos + neg, neg - pos, table[exp.levels - 1], table[exp.levels]
 
 
-def _profile_step(exp: CatExpansion, F_lo: np.ndarray, F_hi: np.ndarray,
-                  t: float) -> tuple[np.ndarray, np.ndarray]:
+def _profile_step(exp: CatExpansion, rows: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the four spinor components at time t.
 
-    Returns (lo, hi), each (4, ns) and real: lo holds Re psi_0, Re psi_2,
-    Im psi_0, Im psi_2 (on F_lo) and hi the same of psi_1, psi_3 (on F_hi),
-    so a time step is two real products with the rows of _level_rows.
+    `rows` is _level_rows(exp, s).  Returns (lo, hi), each (4, ns) and real: lo
+    holds Re psi_0, Re psi_2, Im psi_0, Im psi_2 (even components, on F_lo) and hi
+    the same of psi_1, psi_3 (odd, on F_hi), so a time step is two real products.
     """
-    A, B, se = exp.A, exp.B, np.sqrt(exp.eta)
-    ph_pos = np.exp(-1j * exp.energies * t)   # r=1 branch, energy +E
-    ph_neg = np.conj(ph_pos)                  # r=2 branch, energy -E
-    w1 = exp.c_r1_plus * ph_pos
-    w2 = exp.c_r2_plus * ph_neg
-    w3 = exp.c_r2_minus * ph_neg
-    lo = se * np.stack([w1 + B * w2 - A * w3, A * w1 + w3])
-    hi = se * np.stack([A * w2 + B * w3, -B * w1 + w2])
-    return np.concatenate([lo.real, lo.imag]) @ F_lo, np.concatenate([hi.real, hi.imag]) @ F_hi
+    C, S, F_lo, F_hi = rows
+    ph = np.exp(-1j * exp.energies * t)
+    re, im = C * ph.real, S * -ph.imag
+    return np.concatenate([re[0::2], im[0::2]]) @ F_lo, np.concatenate([re[1::2], im[1::2]]) @ F_hi
 
 
 def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
@@ -246,8 +251,5 @@ def evolve_profile(exp: CatExpansion, s, t: float) -> np.ndarray:
     normalized two-Gaussian profile on the first component.
     """
     _check_window(exp, t, t)
-    lo, hi = _profile_step(exp, *_level_rows(exp, s), t)
-    out = np.empty((4, lo.shape[1]), dtype=complex)
-    out[0::2] = lo[:2] + 1j * lo[2:]
-    out[1::2] = hi[:2] + 1j * hi[2:]
-    return out
+    z = np.stack(_profile_step(exp, _level_rows(exp, s), t), axis=1)  # z[k] = (lo[k], hi[k])
+    return (z[:2] + 1j * z[2:]).reshape(4, -1)  # (psi_0, psi_1), (psi_2, psi_3)

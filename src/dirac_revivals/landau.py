@@ -24,6 +24,7 @@ __all__ = [
 
 # the (r, nu) labels of one level, in the column order of every oracle array
 LABELS = ((1, "+"), (1, "-"), (2, "+"), (2, "-"))
+_POPULATED = [0, 2, 3]  # (1,+), (2,+), (2,-): a cat state's labels, in CatExpansion's order
 
 
 @dataclass(frozen=True)
@@ -94,21 +95,17 @@ def _params_arrays(n, p: PhysicalParams):
     return E, A, B, eta
 
 
-def _component_table(labels, n, p: PhysicalParams):
-    """Spinor component tables of the (r, nu) labels, vectorised over levels n.
+def _component_table(n, p: PhysicalParams):
+    """Spinor component table of every (r, nu) label, vectorised over levels n.
 
-    Returns (coef, offset): coef has shape n.shape + (len(labels), 4), and
-    component j of label k sits on F_{n-1+offset[k, j]}.  The spinor
-    u^nu_{n,r}(s) is coef times those F; it has unit norm under ds/sqrt(eB).
+    Shape n.shape + (4 labels, 4 components), labels in LABELS order.  The one
+    layout rule: component j of every label sits on F_{n-1+j%2}, so u^nu_{n,r}(s)
+    is the row times those F, with unit norm under ds/sqrt(eB).  (1,+) has no
+    component 1 (its coefficient is exactly 0), so no value reads its order.
     """
     _, A, B, eta = _params_arrays(n, p)
     se = np.sqrt(eta)
     zero = 0.0 * se
-    rows = {
-        (1, "+"): ((se, zero, se * A, -se * B), (0, 0, 0, 1)),
-        (1, "-"): ((zero, se, -se * B, -se * A), (0, 1, 0, 1)),
-        (2, "+"): ((se * B, se * A, zero, se), (0, 1, 0, 1)),
-        (2, "-"): ((-se * A, se * B, se, zero), (0, 1, 0, 1)),
-    }
-    coef = np.stack([np.stack(rows[lab][0], axis=-1) for lab in labels], axis=-2)
-    return coef, np.array([rows[lab][1] for lab in labels])
+    rows = ((se, zero, se * A, -se * B), (zero, se, -se * B, -se * A),
+            (se * B, se * A, zero, se), (-se * A, se * B, se, zero))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)

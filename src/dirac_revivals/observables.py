@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import LABELS, PhysicalParams, _component_table
+from .landau import _POPULATED, PhysicalParams, _component_table
 from .evolution import TimeSeries, _accumulate, _phase_blocks, _time_blocks, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
@@ -110,38 +110,36 @@ def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
     """Quadrature <u_a|Gamma|u_b> over every (level, label) pair, shape (L, 4, L, 4).
 
     Entry [k, a, l, b] pairs label LABELS[a] of levels[k] with LABELS[b] of
-    levels[l].  Each spinor component sits on one F_k, so the bilinears are
+    levels[l].  Component j of level n sits on F_{n-1+j%2}, so the bilinears are
     the component coefficients contracted against the Gram matrix of the
-    F_i F_j, indexed by Hermite order: sum_i lam_i F_a(x_i) F_b(x_i) over the
+    F_i F_j per (level, component): sum_i lam_i F_a(x_i) F_b(x_i) over the
     (n_max + 16)-point Gauss-Hermite rule with Christoffel numbers lam, exact
     for these products (the (eB)^(1/2) amplitude cancels the measure).
     """
     levels = np.asarray(levels, dtype=int)
     if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
         raise ValueError(f"levels must be a nonempty list of integers >= 1, got {levels}")
-    coef, offset = _component_table(LABELS, levels, p)  # (L, 4 labels, 4 components)
-    order = (levels[:, None, None] - 1 + offset).reshape(-1)
+    coef = _component_table(levels, p)  # (L, 4 labels, 4 components)
+    order = (levels[:, None] - 1 + np.arange(4) % 2).reshape(-1)
     x, lam = _christoffel_rule(int(levels.max()) + 16)
     F = hermite_table(int(levels.max()), x)  # unit eB
-    gram = ((F * lam) @ F.T)[np.ix_(order, order)].reshape(coef.shape + coef.shape)
+    gram = ((F * lam) @ F.T)[np.ix_(order, order)].reshape(len(levels), 4, len(levels), 4)
     left = coef[..., None] * _MATRICES[g]  # (L, 4, 4, 4): coefficient times row of Gamma
-    return np.einsum("kaij,lbj,kailbj->kalb", left, coef, gram)
+    return np.einsum("kaij,lbj,kilj->kalb", left, coef, gram)
 
 
-_LABELS = ((1, "+"), (2, "+"), (2, "-"))
+_SAME_ORDER = np.equal.outer(np.arange(4) % 2, np.arange(4) % 2)  # components on one F order
 
 
-def _level_tables(g: GeneratorId, table) -> np.ndarray:
+def _level_tables(g: GeneratorId, u) -> np.ndarray:
     """Per-level 3x3 matrix-element tables over the populated labels, shape (L, 3, 3).
 
-    `table` is _component_table(_LABELS, exp.levels, exp.spec.params).  The
-    F_k are orthonormal, so the overlap of two components is 1 when their
-    Hermite orders agree and 0 otherwise; cross-level elements vanish by the
-    parity selection rule and are not carried.
+    `u` is _component_table(exp.levels, exp.spec.params)[:, _POPULATED].  The F_k
+    are orthonormal, so two components overlap by 1 on one Hermite order (the
+    constant _SAME_ORDER, by the table's layout rule) and 0 otherwise;
+    cross-level elements vanish by parity selection and are not carried.
     """
-    coef, offset = table
-    same_order = offset[:, None, :, None] == offset[None, :, None, :]
-    return np.einsum("lai,ij,lbj,abij->lab", coef, _MATRICES[g], coef, same_order)
+    return np.einsum("lai,ij,lbj->lab", u, _MATRICES[g] * _SAME_ORDER, u)
 
 
 def _series_coefficients(exp: CatExpansion, g: GeneratorId, table):
@@ -163,7 +161,7 @@ def _series_coefficients(exp: CatExpansion, g: GeneratorId, table):
 def _coefficients(exp: CatExpansion, gens) -> list:
     """(sum of s_n, c_n, d_n) per generator, from one spinor table; a c_n or d_n
     whose every entry is zero is None, so its cos or sin half is skipped."""
-    table = _component_table(_LABELS, exp.levels, exp.spec.params)
+    table = _component_table(exp.levels, exp.spec.params)[:, _POPULATED]
     return [(stat.sum(), cosc if cosc.any() else None, sinc if sinc.any() else None)
             for stat, cosc, sinc in (_series_coefficients(exp, g, table) for g in gens)]
 

@@ -631,6 +631,22 @@ def test_window_whose_spacing_rounds_to_zero_is_config_error(tmp_path, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["survival", "--samples", "5"],
+    ["observables", "--samples", "5"],
+    ["density", "--nt", "5", "--ns", "3"],
+], ids=["survival", "observables", "density-csv"])
+def test_window_whose_times_would_repeat_is_config_error(tmp_path, capsys, argv):
+    # dt = 1.1e-16 is half an ulp of t = 1: t0 + k*dt would write t = 1 twice,
+    # each row with a value from a different time
+    out = tmp_path / "out"
+    assert main(argv + ["--a", "5", "--tmin", "1", "--tmax", "1.0000000000000004",
+                        "--out", str(out)]) == EXIT_CONFIG
+    assert ("spacing 1.11022e-16 is at most 4 ulp of max(|t0|, |t1|) = 1.0000000000000004"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_every_uniform_axis_is_x0_plus_k_dx(tmp_path):
     # over [0, 0.9] in 11 samples, dx = 0.09 and the last point is 10 * 0.09 =
     # 0.89999999999999991, not the bound 0.9: every command writes the time its

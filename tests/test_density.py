@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_revivals import evolution
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit, initial_profile
@@ -23,6 +25,20 @@ def fig6():
     p = PhysicalParams(M=0.0, kz=kz, eB=1.0)
     exp = expand(CatSpec("S", 5.0, p))
     return exp, time_scales(n0, p)
+
+
+@given(sym=st.sampled_from("SA"), a=st.floats(0.5, 40.0), M=st.floats(0.0, 5.0),
+       kz=st.floats(-3.0, 3.0), eB=st.floats(0.25, 4.0), t1=st.floats(0.1, 50.0))
+@settings(max_examples=30, deadline=None)
+def test_grid_rows_match_closed_form_over_the_domain(sym, a, M, kz, eB, t1):
+    # on the default window +-(a + 6) each row's maximum sits on the humps, so
+    # 1e-12 of it bounds the kernel's rounding; on a narrow window off the humps
+    # the closed form's truncation tail would set the row maximum instead
+    exp = expand(CatSpec(sym, a, PhysicalParams(M=M, kz=kz, eB=eB)))
+    grid = density_grid(exp, -(a + 6.0), a + 6.0, 201, 0.0, t1, 3)
+    for t, row in zip(grid.t, grid.values):
+        ref = density_closed_form(exp, grid.s, float(t))
+        assert np.abs(row - ref).max() <= 1e-12 * np.abs(row).max()
 
 
 class TestPointwise:
@@ -163,3 +179,6 @@ class TestGrid:
         # 5e-324 / 2 rounds to 0: the three rows would share or mislabel their times
         with pytest.raises(ValueError, match=r"spacing .* = 4.94066e-324/2 rounds to 0"):
             density_grid(exp, -1.0, 1.0, 10, 0.0, 5e-324, 3)
+        # dt = 1.1e-16 is half an ulp of t = 1: two rows would carry the label t = 1
+        with pytest.raises(ValueError, match=r"spacing 1.11022e-16 is at most 4 ulp"):
+            density_grid(exp, -1.0, 1.0, 10, 1.0, 1.0000000000000004, 5)

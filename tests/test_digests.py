@@ -25,9 +25,9 @@ DIGESTS = {
     "timescales --a 5 --ab-ratio 2.04":
         "7aef641d14f474acda39eb366d71c34cb46564ec9a5f7cd77d897d373b4b4d31",
     "density --a 5 --ab-ratio 2.04 --tmax 106 --nt 301 --ns 1201":
-        "2c7a4dfd84b8138a0f94eaf02f13624d73ca581999194884eeccc48bc770b426",
+        "9493371fabd784f520bf223893452c30d58cb34aec8807a989d9d7b035af24c2",
     "density --a 5 --format json":
-        "aac2d014c29db6dcd79262267c798421c015a7ed464e3c2eb938579378356cc9",
+        "4bd0579c0540cc717bf4f9e651415b47136e1eb5b034a9453d4e3b779f2f4214",
     "observables --a 5 --ab-ratio 2.04 --samples 2000":
         "2fc26717e5fac7a94a86651731299855fe83d5a3e71271240924f655cc411e5e",
     "validate --a 5":
@@ -37,7 +37,7 @@ DIGESTS = {
     "timescales --a 20 --mass 1":
         "3dce94caf1e1238f61ae35f4988ddd471862e4068d5e2276b3eb8ad6e2685bf8",
     "density --a 20 --ab-ratio 2.04 --nt 301 --ns 1201":
-        "abc1914f2f9fabfacd409eba3ffbedc6dc9b83cdffa27694a133b43912f0ae9c",
+        "f6b3e5c552868100a6838f6e9f9ee37196dbb18af8b035a30bbbdeefe435390a",
     "observables --a 20 --ab-ratio 2.04 --samples 20000":
         "7829ef348922468a11e00e0ecdae2535ea8081c2c5e4b903fa9c49545342fc68",
 }

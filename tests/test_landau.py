@@ -90,7 +90,7 @@ class TestSpinors:
 
     def test_heavy_mass_limit_components(self):
         p = PhysicalParams(M=1e4, kz=0.0, eB=1.0)
-        u = _component_table([(1, "+")], 1, p)[0][0]  # coefficients of u^+_{1,1}
+        u = _component_table(1, p)[0]  # coefficients of u^+_{1,1}
         # A -> 0 and B -> 0: only the first component survives
         assert abs(u[1]) == 0.0 and abs(u[2]) < 1e-12
         assert abs(u[3]) < 1e-4 * abs(u[0])
@@ -101,14 +101,26 @@ class TestSpinors:
         p = PhysicalParams(M=0.3, kz=-0.8, eB=2.0)
         exp = expand(CatSpec("A", 2.0, p))
         s, t = 0.9, 1.7
-        coef, offset = _component_table([(1, "+"), (2, "+"), (2, "-")], exp.levels, p)
+        coef = _component_table(exp.levels, p)[:, [0, 2, 3]]  # (1,+), (2,+), (2,-)
         F = hermite_table(exp.n_max, [s], p.eB)[:, 0]
-        u = coef * F[exp.levels[:, None, None] - 1 + offset]  # (level, label, component)
+        u = coef * F[exp.levels[:, None, None] - 1 + np.arange(4) % 2]  # (level, label, component)
         phase = np.exp(-1j * exp.energies * t)
         c = np.stack([exp.c_r1_plus * phase, exp.c_r2_plus * phase.conj(),
                       exp.c_r2_minus * phase.conj()], axis=1)
         got = evolve_profile(exp, [s], t)[:, 0]
         assert np.abs(got - np.einsum("la,lai->i", c, u)).max() < 1e-14
+
+    @given(M=st.floats(0.0, 5.0), kz=st.floats(-3.0, 3.0), eB=st.floats(0.25, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_component_table_layout(self, M, kz, eB):
+        # component j of every label sits on F_{n-1+j%2} and the F are orthonormal,
+        # so each level's label overlaps are its table rows dotted: an orthogonal
+        # 4x4 matrix on every level a cat state in the box keeps (a <= 40)
+        u = _component_table(np.arange(1, 1301), PhysicalParams(M=M, kz=kz, eB=eB))
+        err = np.abs(np.einsum("lai,lbi->lab", u, u) - np.eye(4)).max()
+        assert err <= 8 * np.finfo(float).eps
+        # (1,+) has no component 1, so nothing reads the order the rule gives it
+        assert np.all(u[:, 0, 1] == 0.0)
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError, match="levels must be"):

@@ -14,7 +14,7 @@ from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_s
                                       time_scales)
 from dirac_revivals.landau import LABELS, PhysicalParams, _component_table, _params_arrays, energy
 from dirac_revivals.numerics import find_peaks
-from dirac_revivals.observables import (_CORRELATION_GENERATORS, _LABELS, _MATRICES,
+from dirac_revivals.observables import (_CORRELATION_GENERATORS, _MATRICES,
                                         GeneratorId, _coefficients, _grid_values, _level_tables,
                                         closed_form_series, concurrence_sq, correlation_series,
                                         expectation_series, expectation_values, matrix_elements,
@@ -100,11 +100,23 @@ class TestMatrixElements:
         p = PhysicalParams(M=1.0, kz=0.7, eB=1.0)
         exp = expand(CatSpec(symmetry, 5.0, p))
         k = np.arange(6)
-        lab = [LABELS.index(la) for la in _LABELS]
-        table = _component_table(_LABELS, exp.levels, p)
+        lab = [LABELS.index(la) for la in ((1, "+"), (2, "+"), (2, "-"))]
+        table = _component_table(exp.levels, p)[:, lab]
         for g in ALL_GENERATORS:
             el = matrix_elements(g, exp.levels[:6], p)[k, :, k, :]  # same-level blocks
             assert np.abs(_level_tables(g, table)[:6] - el[:, lab][:, :, lab]).max() < 1e-12
+
+    def test_memory_bounded(self):
+        # the Gram matrix is gathered per (level, component), (L, 4, L, 4) doubles:
+        # 5 MiB over 200 levels, where one per (level, label, component) pair took
+        # 88.6 MiB
+        tracemalloc.start()
+        try:
+            matrix_elements(GeneratorId.GAMMA0, np.arange(1, 201), PhysicalParams(M=0.7, kz=1.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
     def test_unit_norm_at_the_quadrature_limit(self):
         # n_max = 354 takes the 370-point rule, the last whose plain
@@ -412,6 +424,7 @@ GRID_FUNCTIONS = {
     (math.nan, 1.0, 11, "grid bounds must be finite"),
     (-1e308, 1e308, 11, "grid bounds must be finite"),
     (0.0, 5e-324, 3, r"spacing \(t1 - t0\)/\(samples - 1\) = 4.94066e-324/2 rounds to 0"),
+    (1.0, 1.0000000000000004, 5, r"spacing 1.11022e-16 is at most 4 ulp of max"),
 ])
 def test_uniform_grid_validation(fig7, name, t0, t1, samples, message):
     with pytest.raises(ValueError, match=message):
