@@ -20,6 +20,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .evolution import _axis, _check_window, _level_rows, _profile_step, _uniform_grid
+from .numerics import hermite_table
 
 __all__ = ["SpatialGrid2D", "probability_density", "density_closed_form", "density_grid"]
 
@@ -79,13 +80,12 @@ def density_closed_form(exp: CatExpansion, s, t: float):
     re-deriving the state.
     """
     scalar = np.ndim(s) == 0
-    A, B, eta = exp.A, exp.B, exp.eta
-    E = exp.energies
+    A, B, eta, E = exp.A, exp.B, exp.eta, exp.energies
     rootP = np.sqrt(exp.level_weights)
-    *_, F_lo, F_hi = _level_rows(exp, s)
+    F = hermite_table(int(exp.levels.max()), np.atleast_1d(s), exp.spec.params.eB)
+    F_lo, F_hi = F[exp.levels - 1], F[exp.levels]
 
-    ct = np.cos(E * t)
-    st = np.sin(E * t)
+    ct, st = np.cos(E * t), np.sin(E * t)
     ww = np.outer(rootP, rootP)
     coscos = np.outer(ct, ct)
     sinsin = np.outer(st, st)

@@ -8,8 +8,8 @@ level sets the characteristic periods
     T1 = 2 pi / (2 |E'|),   T2 = 2 pi / (4 |E''| / 2),   T3 = 2 pi / (8 |E'''| / 6),
 
 half the usual wave-packet scales order by order.  Survival and observables
-take exp(-i E t) from one of two walks, _phase_blocks on a uniform time grid
-and _time_blocks at arbitrary times, and reduce it with the one _accumulate.
+sum their rows on exp(-i E t) as the tile products of _grid_rows on a uniform
+grid, and at arbitrary times on the direct walk _time_blocks with _accumulate.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ def _uniform_grid(t0: float, t1: float, samples: int) -> float:
 
 _BLOCK_CELLS = 2 ** 15  # cells per block of a (time x level) table: 0.5 MB complex, fits in L2
 _STRIDE = 64  # sample k = q*_STRIDE + r of a uniform grid takes its phase as P[q] * R[r]
+_PRODUCT_MACS = 2 ** 18  # multiply-adds per tile product of _grid_rows: one OpenBLAS thread
 
 
 def _block_rows(levels: int) -> int:
@@ -134,8 +135,8 @@ def _check_window(exp: CatExpansion, t0: float, t1: float) -> None:
 
 def _accumulate(rows, coefficients: list, blocks) -> None:
     """rows[i][k:k+n] = stat + sum c_n Re(phase) + sum d_n Im(phase) of the i-th (stat,
-    c_n, d_n), None skipped, on the (k, phase) blocks of a walk: pairwise sums along the
-    levels, so a row's bits do not depend on the rows beside it (matmul would re-block)."""
+    c_n, d_n), None skipped, on the (k, phase) blocks of the direct walk: pairwise sums
+    along the levels, so a row's bits do not depend on the rows beside it."""
     for k, phase in blocks:
         for row, (stat, cosc, sinc) in zip(rows, coefficients):
             seg = row[k:k + len(phase)]
@@ -147,16 +148,16 @@ def _accumulate(rows, coefficients: list, blocks) -> None:
 
 
 def _survival_rows(exp: CatExpansion) -> list:
-    """_accumulate's two coefficient rows of C on e^{-iEt}, into Re and Im of a complex
-    output: Re C = sum (w+ + w-) Re(phase) and Im C = sum (w+ - w-) Im(phase)."""
+    """The two coefficient rows of C on e^{-iEt}, into Re and Im of a complex output:
+    Re C = sum (w+ + w-) Re(phase) and Im C = sum (w+ - w-) Im(phase)."""
     w_pos, w_neg = exp.weight_positive, exp.weight_negative
     return [(0.0, w_pos + w_neg, None), (0.0, None, w_pos - w_neg)]
 
 
 def _time_blocks(exp: CatExpansion, E: np.ndarray, t):
     """(i, table) blocks of exp(-i E t_j) over the flattened t, table[j] at t_{i+j}: the
-    direct twin of _phase_blocks, one exp per cell in blocks of _block_rows(len(E))
-    times, so a time's bits do not depend on its array.  Refuses the window first."""
+    direct walk, one exp per cell in blocks of _block_rows(len(E)) times, so a time's
+    bits do not depend on its array.  Refuses the window first."""
     flat = np.asarray(t, dtype=float).reshape(-1)
     _check_window(exp, flat.min(initial=0.0), flat.max(initial=0.0))
     step = _block_rows(len(E))
@@ -177,38 +178,45 @@ def survival_amplitude(exp: CatExpansion, t):
     return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 
-def _phase_blocks(exp: CatExpansion, E: np.ndarray, t0: float, dt: float, samples: int):
-    """(k0, table) blocks of exp(-i E t_k), table[j] at t_{k0+j} = t0 + (k0 + j) dt.
-
-    Refuses t0 and t0 + (samples - 1) dt first.  Sample k = q S + r takes P[q] * R[r]:
-    R = exp(-i E r dt), r < S = min(64, samples), once, and one P row exp(-i E (t0 + q S dt))
-    per stride, (samples/S + S) exps per E_n.  A row's bits depend on (t0, dt, k) alone,
-    whatever the chunking.  Blocks are whole strides, at most _block_rows rows, views of one
-    table per call (fresh temporaries would fault their pages in again): read one before the next.
-    """
+def _grid_rows(rows, exp: CatExpansion, E: np.ndarray, t0: float, dt: float, samples: int,
+               coefficients: list) -> None:
+    """rows[g][k] = stat + sum c_n Re(ph) + d_n Im(ph) at ph = exp(-i E (t0 + k dt)), per (stat,
+    c_n, d_n) of coefficients, None a zero row; refuses t0 and t0 + (samples - 1) dt first.
+    k = q S + r takes ph = P[q] R[r] (S = min(_STRIDE, samples)), so Q strides of a row are one
+    real product: P as (Q, 2L) (Re, Im) pairs times b = conj(R) (c + i d) as (2L, S).  Every
+    product has one shape, Q from (L, S) alone and the last tile zero-padded, so a row's bits
+    depend on neither the grid's length nor the rows beside it; Q 2L S <= _PRODUCT_MACS (but
+    Q >= 2, past L = 1024), so no product wakes a second BLAS thread."""
     _check_window(exp, t0, t0 + dt * (samples - 1))
-    S = min(_STRIDE, samples)
-    R = np.exp(-1j * np.multiply.outer(dt * np.arange(S), E))
-    n_q, step = -(-samples // S), max(1, _block_rows(len(E)) // S)
-    table = np.empty((min(step, n_q) * S, len(E)), dtype=complex)
+    S, L = min(_STRIDE, samples), len(E)
+    R = np.exp(-1j * np.multiply.outer(dt * np.arange(S), E)).conj()
+    b = [(R * ((0.0 if c is None else c) + 1j * (0.0 if d is None else d))).view(float).T
+         for _, c, d in coefficients]
+    n_q, Q = -(-samples // S), max(2, _PRODUCT_MACS // (2 * L * S))
+    step = Q * max(1, min(-(-n_q // Q), _BLOCK_CELLS // (Q * (L + S))))  # strides per exp call
+    P, tiles = np.empty((step, L), dtype=complex), np.empty((step, S))
     for q0 in range(0, n_q, step):
-        P = np.exp(-1j * np.multiply.outer(t0 + np.arange(q0, min(q0 + step, n_q)) * (S * dt), E))
-        np.multiply(P[:, None, :], R, out=table[:len(P) * S].reshape(len(P), S, len(E)))
-        yield q0 * S, table[:min(len(P) * S, samples - q0 * S)]
+        m = min(step, n_q - q0)
+        P[:] = 0.0  # exp(0 - i E t) in place, bit for bit np.exp(-1j * (t E))
+        np.multiply.outer(-t0 - np.arange(q0, q0 + m) * (S * dt), E, out=P.imag[:m])
+        np.exp(P[:m], out=P[:m])
+        for row, (stat, _, _), b_g in zip(rows, coefficients, b):
+            for i in range(0, m, Q):
+                np.matmul(P[i:i + Q].view(float), b_g, out=tiles[i:i + Q])
+            np.add(tiles.reshape(-1)[:samples - q0 * S], stat, out=row[q0 * S:(q0 + m) * S])
 
 
 def autocorrelation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> TimeSeries:
     """Complex C(t) on the uniform grid t_k = t0 + k dt over [t0, t1].
 
-    Phases from the stride tables of _phase_blocks at the frequencies E, so the
-    series is bit-identical however the time axis is chunked.  It differs from
-    survival_amplitude at series.times by at most max|E| max(|t0|, |t1|) eps,
-    the rounding of the phase argument E t that both routes carry.
+    Summed by the tile products of _grid_rows at the frequencies E, so a sample's
+    bits do not depend on the grid's length.  It differs from survival_amplitude
+    at series.times by at most max|E| max(|t0|, |t1|) eps, the rounding of the
+    phase argument E t that both routes carry.
     """
     dt = _uniform_grid(t0, t1, samples)
     out = np.empty(samples, dtype=complex)
-    _accumulate((out.real, out.imag), _survival_rows(exp),
-                _phase_blocks(exp, exp.energies, t0, dt, samples))
+    _grid_rows((out.real, out.imag), exp, exp.energies, t0, dt, samples, _survival_rows(exp))
     return TimeSeries(t0=t0, dt=dt, values=out)
 
 

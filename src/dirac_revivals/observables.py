@@ -8,10 +8,10 @@ one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
 labels; the F_k are orthonormal, so within a level two spinor components
 meet only on equal Hermite orders.  `matrix_elements` evaluates the same
 bilinears for every level and label pair by Gauss-Hermite quadrature and
-serves as the independent oracle.  cos/sin(2Et) comes from the survival's
-phase walks at the frequencies -2E: _phase_blocks on uniform grids
-(_grid_values), _time_blocks at arbitrary times (expectation_values); the
-survival's evolution._accumulate reduces both.
+serves as the independent oracle.  The series take the survival's routes at
+the frequencies -2E: on uniform grids (_grid_values) the tile products of
+evolution._grid_rows, at arbitrary times (expectation_values) the direct walk
+_time_blocks, reduced by evolution._accumulate.
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -27,7 +27,7 @@ import numpy as np
 
 from .catstate import CatExpansion
 from .landau import _POPULATED, PhysicalParams, _component_table
-from .evolution import TimeSeries, _accumulate, _phase_blocks, _time_blocks, _uniform_grid
+from .evolution import TimeSeries, _accumulate, _grid_rows, _time_blocks, _uniform_grid
 from .numerics import _christoffel_rule, hermite_table
 
 __all__ = [
@@ -172,30 +172,28 @@ def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
     A sequence of generators g gives stacked rows, summed by evolution._accumulate
     on the phases of _time_blocks at the frequencies -2E (one exp per cell).  The
     bits do not depend on the chunking, and a scalar t gives its array element.
-    Uniform grids take the stride route of _grid_values.
+    Uniform grids take the tile route of _grid_values.
     """
     single = isinstance(g, GeneratorId)
     coefficients = _coefficients(exp, (g,) if single else g)
     vals = np.empty((len(coefficients), np.size(t)))
     _accumulate(vals, coefficients, _time_blocks(exp, -2.0 * exp.energies, t))
     vals = vals.reshape((len(coefficients),) + np.shape(t))
-    if single:
-        vals = vals[0]
-    return float(vals) if single and not np.ndim(t) else vals
+    return (float(vals[0]) if not np.ndim(t) else vals[0]) if single else vals
 
 
 def _grid_values(exp: CatExpansion, gens, t0: float, t1: float,
                  samples: int) -> tuple[np.ndarray, float]:
     """Stacked <Gamma>(t_k) of the generators gens at t_k = t0 + k dt, and dt.
 
-    cos(2Et) + i sin(2Et) comes from evolution._phase_blocks at the frequencies
-    -2E, one complex product per cell; a row's bits depend on (t0, dt, k) alone.
-    It errs by at most 2 max E max|t| eps sum(|c_n| + |d_n|), as the direct route.
+    Tile products of evolution._grid_rows at the frequencies -2E: a row's bits depend
+    on (t0, dt, k) alone, not on the generators beside it.  It errs by at most
+    2 max E max|t| eps sum(|c_n| + |d_n|), as the direct route.
     """
     dt = _uniform_grid(t0, t1, samples)
     coefficients = _coefficients(exp, gens)
     vals = np.empty((len(coefficients), samples))
-    _accumulate(vals, coefficients, _phase_blocks(exp, -2.0 * exp.energies, t0, dt, samples))
+    _grid_rows(vals, exp, -2.0 * exp.energies, t0, dt, samples, coefficients)
     return vals, dt
 
 

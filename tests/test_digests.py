@@ -1,10 +1,12 @@
 """sha256 of the bytes each CLI command writes.
 
-README's CLI commands at a = 5, the a = 20 commands of the benchmark and two
-variants (`--complex`, and a mass with the fit made at the given kz).  A change
-to the CLI's plumbing must leave every one of these files byte-identical.  The
-digests hold only where exp and the BLAS products round as on the recording
-machine, so the test skips elsewhere.
+README's CLI commands at a = 5, the a = 20 commands of the benchmark, two
+variants (`--complex`, and a mass with the fit made at the given kz) and the
+survival and observables series at a = A_MAX = 100.  A change to the CLI's
+plumbing must leave every one of these files byte-identical.  The digests hold
+only where exp and the BLAS products round as on the recording machine, so the
+test skips elsewhere; the series tiles keep their bits under any BLAS thread
+count.
 """
 
 import hashlib
@@ -19,9 +21,9 @@ DIGESTS = {
     "spectral --a 5 --mass 0":
         "470557d6f331b8b2c7111539d3ad871f3b2828522b22a5536445b6bdf05f75d3",
     "survival --a 5 --tmin 0 --tmax 444 --samples 120001":
-        "3ad4cb01e59db08c23bf3f5bdb671b04a98796f629ff0f3d3c3d4846f0a6af02",
+        "929661b464eceb22301749b93390755ec228b9e8eb7714297bb4cd5074ef2871",
     "survival --a 5 --tmin 0 --tmax 444 --samples 120001 --complex":
-        "5d554f4018cb696a4ae0dfdf2f41c78d9f2b7cf06fe998763e876b153b5f37fb",
+        "18ba77f5a905f2386c773e4fc26285ba78eb03bd06c96215f14346587ac2ae15",
     "timescales --a 5 --ab-ratio 2.04":
         "7aef641d14f474acda39eb366d71c34cb46564ec9a5f7cd77d897d373b4b4d31",
     "density --a 5 --ab-ratio 2.04 --tmax 106 --nt 301 --ns 1201":
@@ -29,17 +31,21 @@ DIGESTS = {
     "density --a 5 --format json":
         "4bd0579c0540cc717bf4f9e651415b47136e1eb5b034a9453d4e3b779f2f4214",
     "observables --a 5 --ab-ratio 2.04 --samples 2000":
-        "2fc26717e5fac7a94a86651731299855fe83d5a3e71271240924f655cc411e5e",
+        "17dd5c4108933ded30ad060ec2bb6efcf4144d66444fdee97f73f7b1f17418ff",
     "validate --a 5":
         "2645b636787fa4e9c5635253565750644fc61b6b0207804943a0e63941306a36",
     "survival --a 20 --samples 120001":
-        "c652737cb780641c01dee47774f831742eb38709f8fe4ebc64b0db55f5e6479c",
+        "c33120feb149056fe248d69cbf9ab8d86c862ba6d302736818e29743bc481882",
     "timescales --a 20 --mass 1":
         "3dce94caf1e1238f61ae35f4988ddd471862e4068d5e2276b3eb8ad6e2685bf8",
     "density --a 20 --ab-ratio 2.04 --nt 301 --ns 1201":
         "f6b3e5c552868100a6838f6e9f9ee37196dbb18af8b035a30bbbdeefe435390a",
     "observables --a 20 --ab-ratio 2.04 --samples 20000":
-        "7829ef348922468a11e00e0ecdae2535ea8081c2c5e4b903fa9c49545342fc68",
+        "620a96c0b2326e13fba96bd2aebab8639dd04577eda78c5df8f330ce2187eea8",
+    "survival --a 100 --samples 120001":
+        "45eda6e05be2f75ba2608cc0fd7d7d8de28676269db6ea03237d917b5876115e",
+    "observables --a 100 --ab-ratio 2.04 --samples 20000":
+        "49a4278ca5f6b85288d434157f06650dbb79e6cbb798420945fe7e89c13731df",
 }
 
 

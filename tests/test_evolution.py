@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_revivals import evolution
+from dirac_revivals.cli import _EXPORTED_GENERATORS
 from dirac_revivals.catstate import A_MAX, CatSpec, expand, gaussian_fit, initial_profile
 from dirac_revivals.density import probability_density
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
@@ -17,7 +18,8 @@ from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_s
                                       survival_amplitude, survival_series, time_scales)
 from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import find_peaks
-from dirac_revivals.observables import GeneratorId, expectation_series, expectation_values
+from dirac_revivals.observables import (GeneratorId, _grid_values, expectation_series,
+                                        expectation_values)
 
 MASSLESS = PhysicalParams(M=0.0, kz=0.0, eB=1.0)
 
@@ -203,11 +205,48 @@ class TestSurvivalSeries:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evolution, "_BLOCK_CELLS", block_cells)
             values = survival_series(exp, 0.0, t1, samples).values
-        # k = 0 at t0 = 0 has the phase 1 exactly: C(0) is the weight sum,
-        # in the reducer's pairwise order over Re C's coefficients w+ + w-
-        assert values[0] == (exp.weight_positive + exp.weight_negative).sum()
+        # k = 0 at t0 = 0 has the phase 1 exactly: C(0) is the weight sum of
+        # Re C's coefficients w+ + w- >= 0, in the tile product's order, so it
+        # meets the exact sum within the rounding bound of any summation order
+        weights = exp.weight_positive + exp.weight_negative
+        c0 = autocorrelation_series(exp, 0.0, t1, samples).values[0]
+        assert c0.imag == 0.0 and values[0] == abs(c0.real)
+        exact = math.fsum(weights)
+        assert abs(c0.real - exact) <= (weights.size - 1) * np.finfo(float).eps * exact
         assert values.max() <= 1.0 + 4.0 * np.finfo(float).eps
         assert np.array_equal(values, survival_series(exp, 0.0, t1, samples).values)
+
+    @pytest.mark.parametrize("a", [5.0, 20.0, 100.0])
+    def test_tile_rows_shared_across_grid_lengths(self, a):
+        # grids of one spacing dt = 2^-6 from t0 = 0 share their first samples;
+        # their lengths give other tile counts and another zero padding of the
+        # last tile, and the shared samples keep their bits.  Every product of
+        # a call has one shape, and stays within the one-thread budget
+        exp = expand(CatSpec("S", a, PhysicalParams(M=1.0, kz=0.7)))
+        shapes, matmul = [], np.matmul
+
+        def spy(x, y, **kwargs):
+            shapes.append((x.shape, y.shape))
+            return matmul(x, y, **kwargs)
+
+        rows = {}
+        for samples in (65, 1000, 4001, 20000):
+            t1 = (samples - 1) * 2.0 ** -6
+            for name, call in (
+                    ("survival", lambda: autocorrelation_series(exp, 0.0, t1, samples).values),
+                    ("observables", lambda: _grid_values(exp, _EXPORTED_GENERATORS, 0.0, t1,
+                                                         samples)[0])):
+                shapes.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(np, "matmul", spy)
+                    rows[name, samples] = call()
+                assert len(set(shapes)) == 1, name
+                (Q, K), (_, N) = shapes[0]
+                assert Q >= 2 and Q * K * N <= max(evolution._PRODUCT_MACS, 2 * K * N), name
+        for samples in (65, 1000, 4001):
+            assert np.array_equal(rows["survival", samples], rows["survival", 20000][:samples])
+            assert np.array_equal(rows["observables", samples],
+                                  rows["observables", 20000][:, :samples])
 
     def test_complex_series_matches_magnitude(self, cat5):
         za = autocorrelation_series(cat5, 0.0, 10.0, 101)
