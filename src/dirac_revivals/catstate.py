@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .landau import _POPULATED, PhysicalParams, _component_table, _params_arrays
-from .numerics import _christoffel_rule, hermite_table
+from .numerics import _trapezoid, hermite_table
 
 __all__ = [
     "A_MAX",
@@ -211,19 +211,21 @@ def oracle_raw_overlaps(spec: CatSpec, n_max: int) -> tuple[np.ndarray, np.ndarr
     Returns (levels, c) with levels = 1..n_max and c of shape (n_max, 4),
     columns in LABELS order.  Row n - 1 includes what the expansion drops
     (wrong parity, (r=1,nu=-)), so the selection rules can be checked
-    directly.  Each Gaussian hump is integrated with its own shifted
-    Gauss-Hermite rule (complete the square at s = +-a/2), which is
-    polynomial-exact with k = n_max // 2 + 24 nodes.  Its Christoffel numbers
-    lam, F_m(x +- a/2) and the envelope exp(-(x -+ a/2)^2/2) each stay inside
+    directly.  Each Gaussian hump is integrated by the trapezoidal rule on
+    nodes s = +-a + x, |x| <= 12 (the envelope exp(-x^2/2) is below e^-72
+    past them), with a step that resolves F_m's top frequency sqrt(2m + 1)
+    and the envelope's spectral tail.  F_m and the envelope each stay inside
     the double range, so the sums hold for any separation.
     """
     a = spec.a
     sgn = 1.0 if spec.symmetry == "S" else -1.0
-    x, lam = _christoffel_rule(n_max // 2 + 24)
+    h = math.pi / (math.sqrt(2 * n_max + 1) + 24)
+    x = _trapezoid(12.0, h)
+    w = h * np.exp(-0.5 * x * x)
     # integral of exp(-(s -+ a)^2/2) F_m(s) ds/sqrt(eB) over each hump;
     # the (eB)^(1/4) amplitudes of profile and F_m cancel the measure
-    plus = hermite_table(n_max, x + 0.5 * a) @ (lam * np.exp(-0.5 * (x - 0.5 * a) ** 2))
-    minus = hermite_table(n_max, x - 0.5 * a) @ (lam * np.exp(-0.5 * (x + 0.5 * a) ** 2))
+    plus = hermite_table(n_max, a + x) @ w
+    minus = hermite_table(n_max, x - a) @ w
     overlap_first = 0.5 * math.pi ** -0.25 * (plus + sgn * minus)  # index m = 0..n_max
 
     levels = np.arange(1, n_max + 1)

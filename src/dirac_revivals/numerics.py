@@ -8,9 +8,8 @@ evaluated by one three-term recurrence on the normalized functions
 themselves (never on raw H_n or n!).  It carries a binary exponent per
 column, so every value that fits a double comes out right, also where the
 envelope exp(-s^2/2) alone underflows (large |s|, n ~ 10^4); see Bunck,
-BIT 49 (2009).  The Christoffel numbers of the Gauss-Hermite rule derive
-from it too; the rule's nodes are the eigenvalues of the Jacobi matrix
-(Golub & Welsch, Math. Comp. 23, 1969).
+BIT 49 (2009).  The oracle's trapezoidal rule converges geometrically on its
+entire, Gaussian-decaying integrands (Trefethen & Weideman, SIAM Rev. 56, 2014).
 A peak finder rounds out the toolbox; all are pure functions with no shared
 mutable state.
 """
@@ -31,21 +30,10 @@ _HUGE_EXP = 600
 _HUGE = 2.0 ** _HUGE_EXP
 
 
-def _christoffel_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and Christoffel numbers lam of the k-point Gauss-Hermite rule.
-
-    x are the eigenvalues of the Jacobi matrix (zero diagonal, off-diagonal
-    sqrt(j/2)), made exactly symmetric about 0.  lam_i = 1 / sum_{j<k}
-    F_j(x_i)^2 is the weight times exp(+x_i^2): the rule sums lam_i f(x_i)
-    for integrands f that already carry the envelope, so no factor leaves
-    the double range.
-    """
-    if k < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {k}")
-    off = np.sqrt(np.arange(1, k) / 2.0)
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    x = 0.5 * (x - x[::-1])
-    return x, 1.0 / np.square(hermite_table(k - 1, x)).sum(axis=0)
+def _trapezoid(half_width: float, h: float) -> np.ndarray:
+    """Nodes h*j, j = -k..k with k = ceil(half_width / h): exactly symmetric about 0."""
+    k = math.ceil(half_width / h)
+    return h * np.arange(-k, k + 1)
 
 
 def hermite_table(n_max: int, s: np.ndarray, eB: float = 1.0) -> np.ndarray:

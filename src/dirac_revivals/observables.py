@@ -7,7 +7,7 @@ constant generator block out levels with n != m here, so the engine sums
 one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
 labels; the F_k are orthonormal, so within a level two spinor components
 meet only on equal Hermite orders.  `matrix_elements` evaluates the same
-bilinears for every level and label pair by Gauss-Hermite quadrature and
+bilinears for every level and label pair by trapezoidal quadrature and
 serves as the independent oracle.  The series take the survival's routes at
 the frequencies -2E: on uniform grids (_grid_values) the tile products of
 evolution._grid_rows, at arbitrary times (expectation_values) the direct walk
@@ -28,7 +28,7 @@ import numpy as np
 from .catstate import CatExpansion
 from .landau import _POPULATED, PhysicalParams, _component_table
 from .evolution import TimeSeries, _accumulate, _grid_rows, _time_blocks, _uniform_grid
-from .numerics import _christoffel_rule, hermite_table
+from .numerics import _trapezoid, hermite_table
 
 __all__ = [
     "GeneratorId",
@@ -112,18 +112,20 @@ def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
     Entry [k, a, l, b] pairs label LABELS[a] of levels[k] with LABELS[b] of
     levels[l].  Component j of level n sits on F_{n-1+j%2}, so the bilinears are
     the component coefficients contracted against the Gram matrix of the
-    F_i F_j per (level, component): sum_i lam_i F_a(x_i) F_b(x_i) over the
-    (n_max + 16)-point Gauss-Hermite rule with Christoffel numbers lam, exact
-    for these products (the (eB)^(1/2) amplitude cancels the measure).
+    F_i F_j per (level, component): h sum_j F_a(x_j) F_b(x_j), the trapezoidal
+    rule over |x| <= r + 12 past the top level's turning point r = sqrt(2n + 1),
+    its step h resolving the products' top frequency 2r (eB cancels the measure).
     """
     levels = np.asarray(levels, dtype=int)
     if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
         raise ValueError(f"levels must be a nonempty list of integers >= 1, got {levels}")
     coef = _component_table(levels, p)  # (L, 4 labels, 4 components)
     order = (levels[:, None] - 1 + np.arange(4) % 2).reshape(-1)
-    x, lam = _christoffel_rule(int(levels.max()) + 16)
-    F = hermite_table(int(levels.max()), x)  # unit eB
-    gram = ((F * lam) @ F.T)[np.ix_(order, order)].reshape(len(levels), 4, len(levels), 4)
+    rows, order = np.unique(order, return_inverse=True)  # each Hermite order once
+    r = np.sqrt(2 * levels.max() + 1)
+    h = np.pi / (2 * r + 12)
+    F = hermite_table(int(levels.max()), _trapezoid(r + 12, h))[rows]  # unit eB
+    gram = (h * F @ F.T)[np.ix_(order, order)].reshape(len(levels), 4, len(levels), 4)
     left = coef[..., None] * _MATRICES[g]  # (L, 4, 4, 4): coefficient times row of Gamma
     return np.einsum("kaij,lbj,kilj->kalb", left, coef, gram)
 

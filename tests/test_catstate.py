@@ -167,6 +167,20 @@ class TestOracleEquivalence:
         _, raw = oracle_raw_overlaps(spec, 130)
         assert float((raw ** 2).sum()) == pytest.approx(profile_norm(spec), abs=1e-12)
 
+    @pytest.mark.parametrize("a", [5.0, 20.0, 100.0])
+    @pytest.mark.parametrize("sym", ["S", "A"])
+    def test_raw_overlaps_match_coherent_closed_form(self, sym, a):
+        # each hump is a coherent state: its F_m overlap is e^{-a^2/4} (+-a/sqrt2)^m / sqrt(m!)
+        # times the profile's 1/2, so I_m = (1/2) e^{-a^2/4} (a/sqrt2)^m / sqrt(m!) (1 +- (-1)^m)
+        spec = CatSpec(sym, a, MASSLESS)
+        levels, raw = oracle_raw_overlaps(spec, expand(spec).n_max + 2)
+        m = levels - 1
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in m.tolist()])
+        magnitude = np.exp(-0.25 * a * a + m * math.log(a / math.sqrt(2.0)) - 0.5 * log_factorial)
+        closed = 0.5 * magnitude * (1.0 + (1.0 if sym == "S" else -1.0) * (-1.0) ** m)
+        eta = _params_arrays(levels, MASSLESS)[3]  # column 0 carries sqrt(eta) * I_m
+        assert np.abs(raw[:, 0] - np.sqrt(eta) * closed).max() <= 1e-12
+
     def test_mass_suppresses_negative_branch(self):
         light = expand(CatSpec("S", 5.0, MASSLESS))
         heavy = expand(CatSpec("S", 5.0, PhysicalParams(M=5.0)))

@@ -1,12 +1,12 @@
 """sha256 of the bytes each CLI command writes.
 
 README's CLI commands at a = 5, the a = 20 commands of the benchmark, two
-variants (`--complex`, and a mass with the fit made at the given kz) and the
-survival and observables series at a = A_MAX = 100.  A change to the CLI's
-plumbing must leave every one of these files byte-identical.  The digests hold
-only where exp and the BLAS products round as on the recording machine, so the
-test skips elsewhere; the series tiles keep their bits under any BLAS thread
-count.
+variants (`--complex`, and a mass with the fit made at the given kz) and, at
+a = A_MAX = 100, the spectrum, the survival and observables series and a small
+density grid.  A change to the CLI's plumbing must leave every one of these
+files byte-identical.  The digests hold only where exp and the BLAS products
+round as on the recording machine, so the test skips elsewhere; the series
+tiles keep their bits under any BLAS thread count.
 """
 
 import hashlib
@@ -33,7 +33,7 @@ DIGESTS = {
     "observables --a 5 --ab-ratio 2.04 --samples 2000":
         "17dd5c4108933ded30ad060ec2bb6efcf4144d66444fdee97f73f7b1f17418ff",
     "validate --a 5":
-        "2645b636787fa4e9c5635253565750644fc61b6b0207804943a0e63941306a36",
+        "c4db0e70259a6c7afadd7ccf963a2843913ba41943670f942c8baabeeb3438f0",
     "survival --a 20 --samples 120001":
         "c33120feb149056fe248d69cbf9ab8d86c862ba6d302736818e29743bc481882",
     "timescales --a 20 --mass 1":
@@ -46,6 +46,13 @@ DIGESTS = {
         "45eda6e05be2f75ba2608cc0fd7d7d8de28676269db6ea03237d917b5876115e",
     "observables --a 100 --ab-ratio 2.04 --samples 20000":
         "49a4278ca5f6b85288d434157f06650dbb79e6cbb798420945fe7e89c13731df",
+    "spectral --a 100":
+        "b8db08ec23228a5af1314de51b1539226163d1b8dbcf5b6908a54a81a307ce25",
+    # (4, 505) @ (505, ns) density products: at ns = 801 (1.6M multiply-adds)
+    # OpenBLAS splits them over threads and their last bits move with the
+    # thread count; at ns = 401 (0.8M) they stay on one thread
+    "density --a 100 --nt 5 --ns 401":
+        "2b2bb712ef6e1143a5ecc011d916fd393909572760e137ab12224c6d091a61ca",
 }
 
 

@@ -132,9 +132,9 @@ class TestSurvivalSeries:
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_against_chunking(self, cat5):
-        # the grid series is bit-identical however its time axis is blocked
-        # (down to one stride per block), also on a grid that crosses the
-        # internal block boundaries
+        # the grid series is bit-identical however _grid_rows' exp block is
+        # sized (_BLOCK_CELLS reaches only that block, down to one tile of
+        # Q strides), also on a grid that crosses the block boundaries
         cells = (1, evolution._STRIDE * len(cat5.levels) - 1, 2 ** 15, 2 ** 22)
         for samples in (301, 2 * _block_rows(len(cat5.levels)) + 1):
             ts = np.linspace(0.0, 30.0, samples)
@@ -183,9 +183,10 @@ class TestSurvivalSeries:
 
     @pytest.mark.parametrize("samples, bound_mib", [(4001, 1.2), (101, 0.55)])
     def test_series_memory_of_one_scan_step(self, samples, bound_mib):
-        # one phase table of min(step, n_q) * S rows per call (0.49 MiB at
-        # a = 20) and one real (rows x L) product at a time in the reducer; a
-        # 101-sample grid sizes the table to its two strides
+        # the (S, L) stride tables R and b, and one exp block P of `step`
+        # strides (a multiple of the Q strides per tile product) with its
+        # tiles: 0.62 MiB in all at a = 20; a 101-sample grid, two strides,
+        # still takes one whole tile of Q strides (0.40 MiB)
         exp = expand(CatSpec("S", 20.0, MASSLESS))
         tracemalloc.start()
         try:

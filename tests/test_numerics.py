@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_revivals.evolution import TimeSeries
-from dirac_revivals.numerics import _christoffel_rule, find_peaks, hermite_table
-
-SQRT_PI = math.sqrt(math.pi)
+from dirac_revivals.numerics import _trapezoid, find_peaks, hermite_table
 
 # frozen from a 40-digit recurrence (mpmath); the suite never re-runs it
 F200_AT_3 = -0.17704504501632922724
@@ -103,64 +101,33 @@ class TestHermiteFn:
                 assert table[n, j] == pytest.approx(hermite_table(n, [sv])[n, 0], abs=1e-14)
 
 
-def _gauss_hermite(k):
-    """Nodes and weights exp(-x^2) lam of the k-point rule for the weight exp(-x^2)."""
-    x, lam = _christoffel_rule(k)
-    return x, np.exp(-x * x) * lam
-
-
-class TestGaussHermite:
-    def test_one_point_rule(self):
-        x, w = _gauss_hermite(1)
-        assert x == pytest.approx([0.0], abs=1e-15)
-        assert w == pytest.approx([SQRT_PI], abs=1e-14)
-
-    def test_two_point_rule(self):
-        x, w = _gauss_hermite(2)
-        assert sorted(x) == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-14)
-        assert w == pytest.approx([SQRT_PI / 2, SQRT_PI / 2], abs=1e-14)
-
-    def test_second_moment(self):
-        x, w = _gauss_hermite(2)
-        assert float(np.dot(w, x ** 2)) == pytest.approx(SQRT_PI / 2, abs=1e-14)
-
-    def test_zero_order_rejected(self):
-        with pytest.raises(ValueError):
-            _christoffel_rule(0)
-
-    def test_rule_invariants(self):
-        for k in (1, 2, 7, 40, 316):
-            x, w = _gauss_hermite(k)
-            assert x.size == w.size == k
-            assert w.sum() == pytest.approx(SQRT_PI, abs=1e-12)
-            assert np.all(w > 0.0)
-            assert np.all(np.diff(x) > 0.0)
-            assert x == pytest.approx(-x[::-1], abs=1e-13)
-
-    def test_polynomial_exactness(self):
-        # moments of exp(-x^2): gamma((d+1)/2) for even d, 0 for odd d
-        x, w = _gauss_hermite(9)
-        for d in range(0, 18):
-            exact = math.gamma((d + 1) / 2.0) if d % 2 == 0 else 0.0
-            got = float(np.dot(w, x ** d))
-            assert got == pytest.approx(exact, abs=1e-10 * max(1.0, exact))
-
-
-def _christoffel_gram(n_max):
-    # sum lam F_a F_b is exact for the F_a F_b products of degree <= 2*n_max
-    x, lam = _christoffel_rule(n_max + 16)
-    F = hermite_table(n_max, x)
-    return (F * lam) @ F.T
+def _trapezoid_gram(n_max):
+    # the oracle's Gram rule: nodes past the turning point r, a step resolving frequency 2r
+    r = math.sqrt(2 * n_max + 1)
+    h = math.pi / (2 * r + 12)
+    F = hermite_table(n_max, _trapezoid(r + 12, h))
+    return h * F @ F.T
 
 
 def test_orthonormality_up_to_300():
-    assert np.abs(_christoffel_gram(300) - np.eye(301)).max() < 1e-10
+    assert np.abs(_trapezoid_gram(300) - np.eye(301)).max() < 1e-10
 
 
 def test_orthonormality_up_to_1000():
-    # past n_max ~ 354 the plain Gauss-Hermite weights exp(-x^2) lam go
-    # subnormal at the outer nodes; the Christoffel numbers do not
-    assert np.abs(_christoffel_gram(1000) - np.eye(1001)).max() < 1e-10
+    assert np.abs(_trapezoid_gram(1000) - np.eye(1001)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_max", [7, 40, 200, 1300])
+def test_trapezoid_gram_accuracy(n_max):
+    # the rule converges geometrically: the Gram matrix is the identity to rounding
+    assert np.abs(_trapezoid_gram(n_max) - np.eye(n_max + 1)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("half_width, h", [(12.0, 0.1), (12.0, math.pi / 129), (63.4, 0.0276)])
+def test_trapezoid_nodes_exactly_symmetric(half_width, h):
+    x = _trapezoid(half_width, h)
+    assert x.size % 2 == 1 and x[x.size // 2] == 0.0 and x[-1] >= half_width
+    assert np.array_equal(x, -x[::-1])
 
 
 def test_trapezoid_orthonormality_on_wide_grid():

@@ -253,9 +253,9 @@ class TestExpectationSeries:
         assert peak < 8 * 2 ** 20
 
     def test_grid_deterministic_against_chunking(self, fig7):
-        # the grid rows are bit-identical however the time axis is blocked
-        # (down to one stride per block), also on a grid that crosses the
-        # internal block boundaries
+        # the grid rows are bit-identical however _grid_rows' exp block is
+        # sized (_BLOCK_CELLS reaches only that block, down to one tile of
+        # Q strides), also on a grid that crosses the block boundaries
         exp, sc = fig7
         cells = (1, evolution._STRIDE * len(exp.levels) - 1, 2 ** 15, 2 ** 22)
         for samples in (301, 2 * _block_rows(len(exp.levels)) + 3):
