@@ -14,16 +14,16 @@ __version__ = "0.1.0"
 
 # each public name and the submodule that defines it, in the order of __all__
 _SUBMODULE = {name: module for module, names in {
-    "catstate": "A_MAX CatExpansion CatSpec LevelFit SpectralFunction expand expand_oracle "
-                "gaussian_fit initial_profile spectral_function",
+    "catstate": "A_MAX CatExpansion CatSpec LevelFit SpectralFunction expand gaussian_fit "
+                "initial_profile spectral_function",
     "density": "SpatialGrid2D density_closed_form density_grid probability_density",
     "evolution": "TimeScales TimeSeries autocorrelation_series evolve_profile kz_for_ab_ratio "
                  "survival_amplitude survival_series time_scales",
     "landau": "PhysicalParams energy energy_derivatives",
     "numerics": "find_peaks hermite_table",
     "observables": "GeneratorId ObservableSeries closed_form_series concurrence_sq "
-                   "correlation_series expectation_series expectation_values matrix_elements "
-                   "mutual_information",
+                   "correlation_series expectation_series expectation_values mutual_information",
+    "oracle": "expand_oracle matrix_elements",
 }.items() for name in names.split()}
 __all__ = list(_SUBMODULE)
 

@@ -10,8 +10,8 @@ per-level probability
 
 split over three branch labels with amplitudes sqrt(eta_n) * {1, B_n, -A_n}
 on (r=1,nu=+), (r=2,nu=+), (r=2,nu=-).  That split makes the per-level sum
-exactly P_m thanks to eta*(1+A^2+B^2) = 1.  The analytic route and the
-quadrature oracle below are kept strictly independent, and the whole list
+exactly P_m thanks to eta*(1+A^2+B^2) = 1.  This is the analytic route; the
+quadrature oracle that checks it lives in `oracle`, and the whole list
 is always renormalized: the two-Gaussian profile as written has squared
 norm exp(-a^2/2)*{cosh,sinh}(a^2/2), not 1.
 """
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landau import _POPULATED, PhysicalParams, _component_table, _params_arrays
-from .numerics import _trapezoid, hermite_table
+from .landau import PhysicalParams, _params_arrays
 
 __all__ = [
     "A_MAX",
@@ -33,7 +32,6 @@ __all__ = [
     "SpectralFunction",
     "LevelFit",
     "expand",
-    "expand_oracle",
     "spectral_function",
     "gaussian_fit",
     "initial_profile",
@@ -203,58 +201,6 @@ def profile_norm(spec: CatSpec) -> float:
     x = 0.5 * spec.a * spec.a
     h = math.cosh(x) if spec.symmetry == "S" else math.sinh(x)
     return math.exp(-x) * h
-
-
-def oracle_raw_overlaps(spec: CatSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized overlaps of the t=0 state with every basis label n <= n_max.
-
-    Returns (levels, c) with levels = 1..n_max and c of shape (n_max, 4),
-    columns in LABELS order.  Row n - 1 includes what the expansion drops
-    (wrong parity, (r=1,nu=-)), so the selection rules can be checked
-    directly.  Each Gaussian hump is integrated by the trapezoidal rule on
-    nodes s = +-a + x, |x| <= 12 (the envelope exp(-x^2/2) is below e^-72
-    past them), with a step that resolves F_m's top frequency sqrt(2m + 1)
-    and the envelope's spectral tail.  F_m and the envelope each stay inside
-    the double range, so the sums hold for any separation.
-    """
-    a = spec.a
-    sgn = 1.0 if spec.symmetry == "S" else -1.0
-    h = math.pi / (math.sqrt(2 * n_max + 1) + 24)
-    x = _trapezoid(12.0, h)
-    w = h * np.exp(-0.5 * x * x)
-    # integral of exp(-(s -+ a)^2/2) F_m(s) ds/sqrt(eB) over each hump;
-    # the (eB)^(1/4) amplitudes of profile and F_m cancel the measure
-    plus = hermite_table(n_max, a + x) @ w
-    minus = hermite_table(n_max, x - a) @ w
-    overlap_first = 0.5 * math.pi ** -0.25 * (plus + sgn * minus)  # index m = 0..n_max
-
-    levels = np.arange(1, n_max + 1)
-    # only the first spinor component meets the initial state; it sits on
-    # F_{n-1} for every label, with the label's own coefficient
-    return levels, _component_table(levels, spec.params)[:, :, 0] * overlap_first[levels - 1, None]
-
-
-def expand_oracle(spec: CatSpec, n_max: int) -> CatExpansion:
-    """Ground-truth expansion by quadrature of the overlap integrals.
-
-    Evaluates c = integral phi^dag(s,0) u(s) ds/sqrt(eB) for every level
-    n <= n_max and all four (r, nu) labels, then renormalizes.  Every level
-    is kept, zero rows included, so row n - 1 belongs to level n.  This is
-    the arbiter for index and sign conventions; it shares nothing with
-    `expand` beyond the spinor parameters themselves.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return _oracle_expansion(spec, *oracle_raw_overlaps(spec, n_max))
-
-
-def _oracle_expansion(spec: CatSpec, levels: np.ndarray, c: np.ndarray) -> CatExpansion:
-    """expand_oracle from the arrays of oracle_raw_overlaps(spec, n_max)."""
-    c1, c2, c3 = c[:, _POPULATED].T
-    norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
-    if norm == 0.0:
-        raise ValueError("null state: no overlap with any level")
-    return CatExpansion(spec, levels, c1 / norm, c2 / norm, c3 / norm)
 
 
 def spectral_function(exp: CatExpansion) -> SpectralFunction:

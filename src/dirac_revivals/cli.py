@@ -21,17 +21,14 @@ import sys
 # a process, no gain at a <= 20); a user's value wins, the library sets nothing
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import dataio
-from .catstate import (A_MAX, CatSpec, LevelFit, _expand_ladder, _oracle_expansion,
-                       _parity_weights, gaussian_fit, oracle_raw_overlaps, spectral_function)
+from .catstate import (A_MAX, CatSpec, LevelFit, _expand_ladder, _parity_weights, gaussian_fit,
+                       spectral_function)
 from .density import density_grid
 from .evolution import (_axis, _uniform_grid, autocorrelation_series, kz_for_ab_ratio,
                         survival_series, time_scales)
 from .landau import PhysicalParams
-from .observables import (_CORRELATION_GENERATORS, GeneratorId, _concurrence_sq_formula,
-                          _grid_values, _mutual_information_formula, matrix_elements)
+from .observables import _CORRELATION_GENERATORS, GeneratorId, _correlations, _grid_values
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -294,54 +291,18 @@ def cmd_observables(cfg: dict) -> int:
     rows, dt = _grid_values(exp, _EXPORTED_GENERATORS, tmin, tmax, cfg["samples"])
     columns = {g.value: row for g, row in zip(_EXPORTED_GENERATORS, rows)}
     # the correlation quantifiers' inputs are all exported columns
-    g0, sz, g5gz, igz, az = (columns[g.value] for g in _CORRELATION_GENERATORS)
-    columns["concurrence_sq"] = _concurrence_sq_formula(g0, sz)
-    columns["mutual_information"] = _mutual_information_formula(g0, sz, g5gz, igz, az)
+    columns.update(_correlations(*(columns[g.value] for g in _CORRELATION_GENERATORS)))
     dataio.write_columns_csv(cfg["out"], _axis(tmin, dt, cfg["samples"]), columns)
     return EXIT_OK
 
 
 def cmd_validate(cfg: dict) -> int:
     """Internal consistency suite: oracle coefficients, selection rules, normalization."""
+    from .oracle import check_table  # the one command that loads the oracle
+
     spec, exp, *_ = _prepare(cfg, "validate")
-    tol = cfg["tol"]
-    checks: list[tuple[str, float, float, bool]] = []
-
-    def record(name: str, value: float, bound: float) -> None:
-        value = float(value)
-        checks.append((name, value, bound, value <= bound))
-
-    # analytic expansion against the quadrature oracle, coefficient by
-    # coefficient; oracle row n - 1 holds level n.  The raw overlaps of
-    # this one quadrature also feed the parity check below
-    levels, raw = oracle_raw_overlaps(spec, exp.n_max + 2)
-    oracle = _oracle_expansion(spec, levels, raw)
-    rows = exp.levels - 1
-    dev = max(np.abs(exp.c_r1_plus - oracle.c_r1_plus[rows]).max(),
-              np.abs(exp.c_r2_plus - oracle.c_r2_plus[rows]).max(),
-              np.abs(exp.c_r2_minus - oracle.c_r2_minus[rows]).max())
-    record("coefficient_oracle_equivalence", dev, tol)
-
-    # wrong-parity rows and the (r=1,nu=-) column must vanish
-    parity = 0 if spec.symmetry == "S" else 1
-    leak = max(np.abs(raw[(levels - 1) % 2 != parity]).max(initial=0.0),
-               np.abs(raw[:, 1]).max())
-    record("parity_selection_leak", leak, max(tol, 1e-10))
-
-    # unit total weight and unit survival at t = 0
-    record("normalization_defect", abs(exp.total_weight - 1.0), max(tol, 1e-12))
-
-    # constraint identity on the populated levels
-    resid = exp.eta * (exp.A * exp.A + exp.B * exp.B + 1.0) - 1.0
-    record("constraint_identity", np.abs(resid).max(), max(tol, 1e-12))
-
-    # block-diagonal selection rule: every n != m pair of levels 1..7, all labels
-    levels = np.arange(1, 8)
-    cross = levels[:, None] != levels[None, :]
-    sel = max(np.abs(matrix_elements(g, levels, spec.params)).max(axis=(1, 3))[cross].max()
-              for g in (GeneratorId.GAMMA0, GeneratorId.GAMMA5_ALPHA_Z))
-    record("selection_rule_leak", sel, max(tol, 1e-10))
-
+    checks = [(name, value, bound, value <= bound)
+              for name, value, bound in check_table(spec, exp, cfg["tol"])]
     width = max(len(name) for name, *_ in checks)
     with dataio._text_out(cfg["out"]) as fh:
         fh.writelines(f"{name:<{width}}  {value:.3e} <= {bound:.3e}  {'PASS' if ok else 'FAIL'}\n"

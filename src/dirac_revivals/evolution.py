@@ -9,7 +9,7 @@ level sets the characteristic periods
 
 half the usual wave-packet scales order by order.  Survival and observables
 sum their rows on exp(-i E t) as the tile products of _grid_rows on a uniform
-grid, and at arbitrary times on the direct walk _time_blocks with _accumulate.
+grid, and at arbitrary times on the direct walk _direct_rows.
 """
 
 from __future__ import annotations
@@ -133,13 +133,18 @@ def _check_window(exp: CatExpansion, t0: float, t1: float) -> None:
                          f"at a = {exp.spec.a:g} (t0 = {t0:g}, t1 = {t1:g})")
 
 
-def _accumulate(rows, coefficients: list, blocks) -> None:
-    """rows[i][k:k+n] = stat + sum c_n Re(phase) + sum d_n Im(phase) of the i-th (stat,
-    c_n, d_n), None skipped, on the (k, phase) blocks of the direct walk: pairwise sums
-    along the levels, so a row's bits do not depend on the rows beside it."""
-    for k, phase in blocks:
+def _direct_rows(rows, exp: CatExpansion, E: np.ndarray, t, coefficients: list) -> None:
+    """rows[g][j] = stat + sum c_n Re(ph) + d_n Im(ph) at ph = exp(-i E t_j), t flattened, per
+    (stat, c_n, d_n) of coefficients, None a zero row; refuses the window first.  One exp per cell
+    in blocks of _block_rows(len(E)) times, pairwise sums along the levels: no bit of a row
+    depends on the times or rows beside it."""
+    flat = np.asarray(t, dtype=float).reshape(-1)
+    _check_window(exp, flat.min(initial=0.0), flat.max(initial=0.0))
+    step = _block_rows(len(E))
+    for i in range(0, flat.size, step):
+        phase = np.exp(-1j * np.multiply.outer(flat[i:i + step], E))
         for row, (stat, cosc, sinc) in zip(rows, coefficients):
-            seg = row[k:k + len(phase)]
+            seg = row[i:i + step]
             seg[...] = stat
             if cosc is not None:
                 seg += (phase.real * cosc).sum(axis=-1)
@@ -154,27 +159,16 @@ def _survival_rows(exp: CatExpansion) -> list:
     return [(0.0, w_pos + w_neg, None), (0.0, None, w_pos - w_neg)]
 
 
-def _time_blocks(exp: CatExpansion, E: np.ndarray, t):
-    """(i, table) blocks of exp(-i E t_j) over the flattened t, table[j] at t_{i+j}: the
-    direct walk, one exp per cell in blocks of _block_rows(len(E)) times, so a time's
-    bits do not depend on its array.  Refuses the window first."""
-    flat = np.asarray(t, dtype=float).reshape(-1)
-    _check_window(exp, flat.min(initial=0.0), flat.max(initial=0.0))
-    step = _block_rows(len(E))
-    for i in range(0, flat.size, step):
-        yield i, np.exp(-1j * np.multiply.outer(flat[i:i + step], E))
-
-
 def survival_amplitude(exp: CatExpansion, t):
     """C(t) = <phi(0)|phi(t)> = sum_+ |c|^2 e^{-iEt} + sum_- |c|^2 e^{+iEt}.
 
-    The direct route, on the phases of _time_blocks, for a scalar or an array
-    of times of any shape.  |C| <= 1 + 4 eps: the weights sum to 1 only to
-    rounding, and C is not renormalized (the largest excess measured over a in
-    [1, 40], M in [0, 5], |kz| <= 1 is 2 eps).
+    The direct walk _direct_rows, for a scalar or an array of times of any
+    shape.  |C| <= 1 + 4 eps: the weights sum to 1 only to rounding, and C is
+    not renormalized (the largest excess measured over a in [1, 40], M in
+    [0, 5], |kz| <= 1 is 2 eps).
     """
     out = np.empty(np.size(t), dtype=complex)
-    _accumulate((out.real, out.imag), _survival_rows(exp), _time_blocks(exp, exp.energies, t))
+    _direct_rows((out.real, out.imag), exp, exp.energies, t, _survival_rows(exp))
     return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
 

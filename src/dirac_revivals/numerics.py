@@ -8,10 +8,8 @@ evaluated by one three-term recurrence on the normalized functions
 themselves (never on raw H_n or n!).  It carries a binary exponent per
 column, so every value that fits a double comes out right, also where the
 envelope exp(-s^2/2) alone underflows (large |s|, n ~ 10^4); see Bunck,
-BIT 49 (2009).  The oracle's trapezoidal rule converges geometrically on its
-entire, Gaussian-decaying integrands (Trefethen & Weideman, SIAM Rev. 56, 2014).
-A peak finder rounds out the toolbox; all are pure functions with no shared
-mutable state.
+BIT 49 (2009).  A peak finder rounds out the toolbox; all are pure
+functions with no shared mutable state.
 """
 
 from __future__ import annotations
@@ -28,12 +26,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _HUGE_EXP = 600
 _HUGE = 2.0 ** _HUGE_EXP
-
-
-def _trapezoid(half_width: float, h: float) -> np.ndarray:
-    """Nodes h*j, j = -k..k with k = ceil(half_width / h): exactly symmetric about 0."""
-    k = math.ceil(half_width / h)
-    return h * np.arange(-k, k + 1)
 
 
 def hermite_table(n_max: int, s: np.ndarray, eB: float = 1.0) -> np.ndarray:

@@ -6,12 +6,12 @@ closed-form series they must reproduce.  Parity selection makes every
 constant generator block out levels with n != m here, so the engine sums
 one 3x3 bilinear per excited level over the (r=1,+), (r=2,+), (r=2,-)
 labels; the F_k are orthonormal, so within a level two spinor components
-meet only on equal Hermite orders.  `matrix_elements` evaluates the same
-bilinears for every level and label pair by trapezoidal quadrature and
-serves as the independent oracle.  The series take the survival's routes at
-the frequencies -2E: on uniform grids (_grid_values) the tile products of
+meet only on equal Hermite orders.  The oracle's `matrix_elements` evaluates
+the same bilinears for every level and label pair by quadrature, from the
+dense _MATRICES defined here.  The series take the survival's routes at the
+frequencies -2E: on uniform grids (_grid_values) the tile products of
 evolution._grid_rows, at arbitrary times (expectation_values) the direct walk
-_time_blocks, reduced by evolution._accumulate.
+evolution._direct_rows.
 
 Sign conventions are settled by the direct route: <alpha_z> carries the
 prefactor +4M, <i gamma_z> = <i gamma0 gamma5> = +2 sum w eta A sin(2Et),
@@ -26,14 +26,12 @@ from enum import Enum
 import numpy as np
 
 from .catstate import CatExpansion
-from .landau import _POPULATED, PhysicalParams, _component_table
-from .evolution import TimeSeries, _accumulate, _grid_rows, _time_blocks, _uniform_grid
-from .numerics import _trapezoid, hermite_table
+from .landau import _POPULATED, _component_table
+from .evolution import TimeSeries, _direct_rows, _grid_rows, _uniform_grid
 
 __all__ = [
     "GeneratorId",
     "ObservableSeries",
-    "matrix_elements",
     "expectation_series",
     "expectation_values",
     "closed_form_series",
@@ -106,30 +104,6 @@ class ObservableSeries:
     series: TimeSeries
 
 
-def matrix_elements(g: GeneratorId, levels, p: PhysicalParams) -> np.ndarray:
-    """Quadrature <u_a|Gamma|u_b> over every (level, label) pair, shape (L, 4, L, 4).
-
-    Entry [k, a, l, b] pairs label LABELS[a] of levels[k] with LABELS[b] of
-    levels[l].  Component j of level n sits on F_{n-1+j%2}, so the bilinears are
-    the component coefficients contracted against the Gram matrix of the
-    F_i F_j per (level, component): h sum_j F_a(x_j) F_b(x_j), the trapezoidal
-    rule over |x| <= r + 12 past the top level's turning point r = sqrt(2n + 1),
-    its step h resolving the products' top frequency 2r (eB cancels the measure).
-    """
-    levels = np.asarray(levels, dtype=int)
-    if levels.ndim != 1 or levels.size == 0 or levels.min() < 1:
-        raise ValueError(f"levels must be a nonempty list of integers >= 1, got {levels}")
-    coef = _component_table(levels, p)  # (L, 4 labels, 4 components)
-    order = (levels[:, None] - 1 + np.arange(4) % 2).reshape(-1)
-    rows, order = np.unique(order, return_inverse=True)  # each Hermite order once
-    r = np.sqrt(2 * levels.max() + 1)
-    h = np.pi / (2 * r + 12)
-    F = hermite_table(int(levels.max()), _trapezoid(r + 12, h))[rows]  # unit eB
-    gram = (h * F @ F.T)[np.ix_(order, order)].reshape(len(levels), 4, len(levels), 4)
-    left = coef[..., None] * _MATRICES[g]  # (L, 4, 4, 4): coefficient times row of Gamma
-    return np.einsum("kaij,lbj,kilj->kalb", left, coef, gram)
-
-
 _SAME_ORDER = np.equal.outer(np.arange(4) % 2, np.arange(4) % 2)  # components on one F order
 
 
@@ -171,15 +145,15 @@ def _coefficients(exp: CatExpansion, gens) -> list:
 def expectation_values(exp: CatExpansion, g, t) -> np.ndarray:
     """<Gamma>(t) from the direct bilinear engine; t scalar or array of any shape.
 
-    A sequence of generators g gives stacked rows, summed by evolution._accumulate
-    on the phases of _time_blocks at the frequencies -2E (one exp per cell).  The
-    bits do not depend on the chunking, and a scalar t gives its array element.
+    A sequence of generators g gives stacked rows, summed by the direct walk
+    evolution._direct_rows at the frequencies -2E (one exp per cell).  The bits
+    do not depend on the chunking, and a scalar t gives its array element.
     Uniform grids take the tile route of _grid_values.
     """
     single = isinstance(g, GeneratorId)
     coefficients = _coefficients(exp, (g,) if single else g)
     vals = np.empty((len(coefficients), np.size(t)))
-    _accumulate(vals, coefficients, _time_blocks(exp, -2.0 * exp.energies, t))
+    _direct_rows(vals, exp, -2.0 * exp.energies, t, coefficients)
     vals = vals.reshape((len(coefficients),) + np.shape(t))
     return (float(vals[0]) if not np.ndim(t) else vals[0]) if single else vals
 
@@ -248,7 +222,7 @@ def closed_form_series(exp: CatExpansion, g: GeneratorId, t) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-# the inputs of the two formulas below, in their argument order
+# the inputs of _correlations, in its argument order
 _CORRELATION_GENERATORS = (
     GeneratorId.GAMMA0,
     GeneratorId.GAMMA5_ALPHA_Z,
@@ -262,9 +236,11 @@ def _concurrence_sq_formula(g0, sz):
     return 0.5 * (1.0 + g0) * (1.0 - sz)
 
 
-def _mutual_information_formula(g0, sz, g5gz, igz, az):
-    return 2.0 - 0.5 * ((1.0 + g0) ** 2 + (1.0 + g5gz) ** 2 + (sz - 1.0) ** 2
-                        - igz ** 2 - 4.0 * az ** 2)
+def _correlations(g0, sz, g5gz, igz, az) -> dict:
+    """The concurrence_sq and mutual_information columns from the _CORRELATION_GENERATORS rows."""
+    return {"concurrence_sq": _concurrence_sq_formula(g0, sz),
+            "mutual_information": 2.0 - 0.5 * ((1.0 + g0) ** 2 + (1.0 + g5gz) ** 2 + (sz - 1.0) ** 2
+                                               - igz ** 2 - 4.0 * az ** 2)}
 
 
 def concurrence_sq(exp: CatExpansion, t):
@@ -284,15 +260,12 @@ def mutual_information(exp: CatExpansion, t):
     expectation is +1), which makes the t = 0 information vanish for the
     product state.
     """
-    vals = _mutual_information_formula(*expectation_values(exp, _CORRELATION_GENERATORS, t))
+    rows = expectation_values(exp, _CORRELATION_GENERATORS, t)
+    vals = _correlations(*rows)["mutual_information"]
     return vals if np.ndim(t) else float(vals)
 
 
 def correlation_series(exp: CatExpansion, t0: float, t1: float, samples: int) -> dict[str, TimeSeries]:
     """Concurrence^2 and mutual information on one shared grid, from _grid_values."""
-    (g0, sz, g5gz, igz, az), dt = _grid_values(exp, _CORRELATION_GENERATORS, t0, t1, samples)
-    return {
-        "concurrence_sq": TimeSeries(t0=t0, dt=dt, values=_concurrence_sq_formula(g0, sz)),
-        "mutual_information": TimeSeries(
-            t0=t0, dt=dt, values=_mutual_information_formula(g0, sz, g5gz, igz, az)),
-    }
+    rows, dt = _grid_values(exp, _CORRELATION_GENERATORS, t0, t1, samples)
+    return {name: TimeSeries(t0=t0, dt=dt, values=v) for name, v in _correlations(*rows).items()}

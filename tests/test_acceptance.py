@@ -13,15 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from dirac_revivals.catstate import CatSpec, expand, expand_oracle, gaussian_fit
+from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
 from dirac_revivals.evolution import (TimeSeries, kz_for_ab_ratio,
                                       survival_amplitude, survival_series,
                                       time_scales)
 from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import find_peaks
 from dirac_revivals.observables import (GeneratorId, closed_form_series,
-                                        concurrence_sq, expectation_values,
-                                        matrix_elements)
+                                        concurrence_sq, expectation_values)
+from dirac_revivals.oracle import expand_oracle, matrix_elements
 
 MASSLESS = PhysicalParams()
 

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from dirac_revivals.catstate import (CatSpec, expand, expand_oracle, gaussian_fit,
-                                     initial_profile, oracle_raw_overlaps,
+from dirac_revivals.catstate import (CatSpec, expand, gaussian_fit, initial_profile,
                                      profile_norm, spectral_function)
 from dirac_revivals.density import density_grid
 from dirac_revivals.evolution import survival_amplitude, time_scales
 from dirac_revivals.landau import PhysicalParams, _params_arrays
 from dirac_revivals.numerics import hermite_table
+from dirac_revivals.oracle import expand_oracle, oracle_raw_overlaps
 
 from conftest import _rounds_like_the_recording
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dirac_revivals
-from dirac_revivals import catstate, cli, observables
+from dirac_revivals import catstate, cli, observables, oracle
 from dirac_revivals.catstate import A_MAX, CatSpec, expand, gaussian_fit
 from dirac_revivals.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                                 _EXPORTED_GENERATORS, _KZ_RTOL, main)
@@ -39,7 +39,7 @@ def test_import_loads_numpy_only():
 # the public names in their order in dirac_revivals.__all__
 PUBLIC = [
     "A_MAX", "CatExpansion", "CatSpec", "LevelFit", "SpectralFunction",
-    "expand", "expand_oracle", "gaussian_fit", "initial_profile", "spectral_function",
+    "expand", "gaussian_fit", "initial_profile", "spectral_function",
     "SpatialGrid2D", "density_closed_form", "density_grid", "probability_density",
     "TimeScales", "TimeSeries", "autocorrelation_series", "evolve_profile",
     "kz_for_ab_ratio", "survival_amplitude", "survival_series", "time_scales",
@@ -47,7 +47,8 @@ PUBLIC = [
     "find_peaks", "hermite_table",
     "GeneratorId", "ObservableSeries", "closed_form_series", "concurrence_sq",
     "correlation_series", "expectation_series", "expectation_values",
-    "matrix_elements", "mutual_information",
+    "mutual_information",
+    "expand_oracle", "matrix_elements",
 ]
 
 
@@ -77,6 +78,16 @@ class TestStartup:
         code = ("import os, sys, dirac_revivals; "
                 "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
         assert fresh(code) == "False None\n"
+
+    def test_cli_import_leaves_the_oracle_out(self):
+        # the import loads the CLI and the seven engine modules; validate loads the oracle
+        code = ("import os, sys, dirac_revivals.cli as cli\n"
+                "def loaded():\n"
+                "    names = (m.partition('.') for m in sys.modules)\n"
+                "    print(*sorted(sub for pkg, _, sub in names if pkg == 'dirac_revivals' and sub))\n"
+                "loaded(); cli.main(['validate', '--a', '1', '--out', os.devnull]); loaded()")
+        engine = "catstate cli dataio density evolution landau numerics observables"
+        assert fresh(code) == f"{engine}\n{engine} oracle\n"
 
     def test_public_names_resolve_in_order(self):
         code = ("import json, dirac_revivals as dr; ns = {}; "
@@ -401,14 +412,13 @@ class TestValidate:
     def test_quadrature_overlaps_computed_once(self, monkeypatch, capsys):
         # the oracle coefficients and the parity leak come from one raw array
         calls = []
-        raw = catstate.oracle_raw_overlaps
+        raw = oracle.oracle_raw_overlaps
 
         def counted(*args):
             calls.append(args)
             return raw(*args)
 
-        monkeypatch.setattr(catstate, "oracle_raw_overlaps", counted)
-        monkeypatch.setattr(cli, "oracle_raw_overlaps", counted)
+        monkeypatch.setattr(oracle, "oracle_raw_overlaps", counted)
         assert main(["validate", "--a", "5"]) == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
         assert len(calls) == 1

@@ -12,7 +12,8 @@ from dirac_revivals.evolution import evolve_profile
 from dirac_revivals.landau import (PhysicalParams, _component_table, _params_arrays, energy,
                                    energy_derivatives)
 from dirac_revivals.numerics import hermite_table
-from dirac_revivals.observables import GeneratorId, matrix_elements
+from dirac_revivals.observables import GeneratorId
+from dirac_revivals.oracle import matrix_elements
 
 
 class TestEnergy:

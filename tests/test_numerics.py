@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_revivals.evolution import TimeSeries
-from dirac_revivals.numerics import _trapezoid, find_peaks, hermite_table
+from dirac_revivals.numerics import find_peaks, hermite_table
+from dirac_revivals.oracle import _trapezoid
 
 # frozen from a 40-digit recurrence (mpmath); the suite never re-runs it
 F200_AT_3 = -0.17704504501632922724

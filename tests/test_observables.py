@@ -17,8 +17,9 @@ from dirac_revivals.numerics import find_peaks
 from dirac_revivals.observables import (_CORRELATION_GENERATORS, _MATRICES,
                                         GeneratorId, _coefficients, _grid_values, _level_tables,
                                         closed_form_series, concurrence_sq, correlation_series,
-                                        expectation_series, expectation_values, matrix_elements,
+                                        expectation_series, expectation_values,
                                         mutual_information)
+from dirac_revivals.oracle import matrix_elements
 
 MASSLESS = PhysicalParams()
 ALL_GENERATORS = list(GeneratorId)
