@@ -140,7 +140,8 @@ def _parity_weights(symmetry: str, a: float, tail_eps: float):
     # log weights m*log(lam) - log m!; extend until the tail is negligible
     hi = int(lam + 14.0 * math.sqrt(lam) + 40.0)
     ms = np.arange(m0, hi + 1, 2)
-    logw = ms * math.log(lam) - np.array([math.lgamma(m + 1.0) for m in ms])
+    # lgamma on Python floats: m + 1.0 is exact, and numpy scalars cost ~1 us a level
+    logw = ms * math.log(lam) - np.array([math.lgamma(m + 1.0) for m in ms.tolist()])
     w = np.exp(logw - logw.max())
     w /= w.sum()
     # drop the lighter end level while the total dropped stays below
@@ -171,12 +172,12 @@ def _expand_ladder(spec: CatSpec, ladder) -> CatExpansion:
     """expand from its ladder _parity_weights(spec.symmetry, spec.a, tail_eps),
     which does not depend on M, kz or eB: a kz solve builds it once."""
     ms, w = ladder
-    levels = ms + 1
-    _, A, B, eta = _params_arrays(levels, spec.params)
-    root = np.sqrt(eta * w)
-    c1, c2, c3 = root, root * B, -root * A
+    exp = CatExpansion(spec, ms + 1, w, w, w)  # (E, A, B, eta) once; the coefficients follow
+    root = np.sqrt(exp.eta * w)
+    c1, c2, c3 = root, root * exp.B, -root * exp.A
     norm = math.sqrt(float((c1 ** 2 + c2 ** 2 + c3 ** 2).sum()))
-    return CatExpansion(spec, levels, c1 / norm, c2 / norm, c3 / norm)
+    exp.c_r1_plus, exp.c_r2_plus, exp.c_r2_minus = c1 / norm, c2 / norm, c3 / norm
+    return exp
 
 
 def initial_profile(spec: CatSpec, s, normalized: bool = True):
@@ -232,32 +233,41 @@ def gaussian_fit(exp: CatExpansion) -> LevelFit:
     mean = float((m * y).sum())
     width = math.sqrt(max(2.0 * float((((m - mean) ** 2) * y).sum()), 1e-12))
 
-    def model(q):  # residuals, their cost and their Jacobian in (n0, dn)
+    def model(q):  # residuals, their cost, and what the Jacobian needs
         n0, dn = q.tolist()
         u = (m - n0) / dn
         g = 2.0 / (dn * math.sqrt(math.pi)) * np.exp(-u * u)
+        r = g - y
+        return r, float(r @ r), (u, g, dn)
+
+    def normal_equations(r, u, g, dn):  # J^T J and -J^T r, J the Jacobian in (n0, dn)
         J = np.empty((m.size, 2))
         J[:, 0] = g * 2.0 * u / dn
         J[:, 1] = g * (2.0 * u * u - 1.0) / dn
-        r = g - y
-        return r, float(r @ r), J
+        return J.T @ J, -(J.T @ r)
 
     # Levenberg-Marquardt with Marquardt's diagonal scaling (More, LNM 630,
     # 1978): a step is taken only if it lowers the cost, and the loop stops
-    # on a relative step of 1e-13 or after 200 trial steps
+    # on a relative step of 1e-13 or after 200 trial steps.  J is built where
+    # a step is taken; a trial on the last rejected point (while mu << 1) is
+    # rejected again unevaluated, as the cost only falls
     q, mu = np.array([mean, width]), 1e-3
-    r, cost, J = model(q)
+    r, cost, parts = model(q)
+    JtJ, rhs = normal_equations(r, *parts)
+    rejected = None
     for _ in range(200 if m.size >= 5 else 0):  # fewer levels keep the moments
-        JtJ = J.T @ J
         damped = JtJ.copy()
         damped[0, 0] += mu * JtJ[0, 0]
         damped[1, 1] += mu * JtJ[1, 1]
-        step = np.linalg.solve(damped, -(J.T @ r))
-        r_new, cost_new, J_new = model(q + step)
+        step = np.linalg.solve(damped, rhs)
+        trial = q + step
+        point = trial.tolist()
+        r_new, cost_new, parts = model(trial) if point != rejected else (r, math.inf, parts)
         if cost_new < cost:
-            q, r, cost, J, mu = q + step, r_new, cost_new, J_new, 0.1 * mu
+            q, r, cost, mu = trial, r_new, cost_new, 0.1 * mu
+            JtJ, rhs = normal_equations(r, *parts)
         else:
-            mu *= 10.0
+            rejected, mu = point, mu * 10.0
         if max(map(abs, step.tolist())) <= 1e-13 * max(map(abs, q.tolist())):
             break
     n0, dn = float(q[0]), abs(float(q[1]))

@@ -85,7 +85,7 @@ def find_peaks(series, min_height: float, min_separation: float) -> list[tuple[f
     Maxima below `min_height` are dropped; of any cluster closer than
     `min_separation` only the highest survives (greedy by height).  Each
     kept peak is refined by a 3-point parabolic fit in both position and
-    height.  Returns (t, height) pairs sorted by t.
+    height.  Returns (t, height) pairs sorted by t.  A NaN threshold is refused.
     """
     values = np.asarray(series.values)
     if np.iscomplexobj(values):
@@ -97,6 +97,16 @@ def find_peaks(series, min_height: float, min_separation: float) -> list[tuple[f
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     t0 = float(series.t0)
+    for name, value in (("min_height", min_height), ("min_separation", min_separation)):
+        if math.isnan(value):  # every comparison with NaN is False
+            raise ValueError(f"{name} must not be NaN")
+    # the smallest w with w*dt >= min_separation, at most n: fl(k*dt) never
+    # decreases with k, so a peak k samples from a kept one survives iff k >= w
+    w = 0 if min_separation <= 0.0 else n
+    if 0.0 < min_separation <= n * dt:
+        w = max(math.ceil(min_separation / dt) - 1, 0)  # the rounded quotient overshoots by <= 1
+        while w * dt < min_separation:
+            w += 1
 
     interior = np.arange(1, n - 1)
     is_max = (values[interior] >= values[interior - 1]) & (values[interior] >= values[interior + 1])
@@ -105,10 +115,12 @@ def find_peaks(series, min_height: float, min_separation: float) -> list[tuple[f
     cand = interior[is_max & (values[interior] >= min_height)]
 
     kept: list[int] = []
+    blocked = np.zeros(n, dtype=bool)  # within w - 1 samples of a kept peak
     # by height, then index: Python floats and ints sort without numpy scalars
     for _, i in sorted(zip((-values[cand]).tolist(), cand.tolist())):
-        if all(abs(i - j) * dt >= min_separation for j in kept):
+        if not blocked[i]:
             kept.append(i)
+            blocked[max(i - w + 1, 0):i + w] = True
 
     peaks = []
     for i in kept:

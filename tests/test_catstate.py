@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirac_revivals.catstate import (CatSpec, expand, gaussian_fit, initial_profile,
+from dirac_revivals.catstate import (_MIN_WEIGHT, CatExpansion, CatSpec, LevelFit, _parity_weights,
+                                     expand, gaussian_fit, initial_profile,
                                      profile_norm, spectral_function)
 from dirac_revivals.density import density_grid
 from dirac_revivals.evolution import survival_amplitude, time_scales
@@ -54,6 +57,15 @@ class TestExpand:
             m = int(n) - 1
             expected = lam ** m / (math.factorial(m) * math.sinh(lam))
             assert exp.level_weights[i] == pytest.approx(expected, abs=1e-12)
+
+    def test_constructor_refuses_an_overflowing_energy(self):
+        # expand builds (E, A, B, eta) once, through the constructor, which a
+        # caller may also call with levels of its own
+        spec = CatSpec("S", 1.0, PhysicalParams(M=1e155))
+        with pytest.raises(ValueError, match="leaves the double range"):
+            CatExpansion(spec, [1], [1.0], [0.0], [0.0])
+        with pytest.raises(ValueError, match="leaves the double range"):
+            expand(spec)
 
     def test_normalization(self):
         for sym in ("S", "A"):
@@ -312,3 +324,88 @@ def test_fit_bits_pinned(key):
     symmetry, a, M, kz = key
     fit = gaussian_fit(expand(CatSpec(symmetry, a, PhysicalParams(M=M, kz=kz))))
     assert (fit.n0.hex(), fit.delta_n.hex(), fit.residual.hex()) == FIT_BITS[key]
+
+
+def _gaussian_fit_reference(exp) -> LevelFit:
+    """gaussian_fit as it stood at commit 09c9d12: J built at every trial point."""
+    m = exp.levels.astype(float) - 1.0
+    y = exp.weight_positive
+    keep = y > _MIN_WEIGHT * y.max()
+    m, y = m[keep], y[keep]
+    y = y / y.sum()
+
+    mean = float((m * y).sum())
+    width = math.sqrt(max(2.0 * float((((m - mean) ** 2) * y).sum()), 1e-12))
+
+    def model(q):
+        n0, dn = q.tolist()
+        u = (m - n0) / dn
+        g = 2.0 / (dn * math.sqrt(math.pi)) * np.exp(-u * u)
+        J = np.empty((m.size, 2))
+        J[:, 0] = g * 2.0 * u / dn
+        J[:, 1] = g * (2.0 * u * u - 1.0) / dn
+        r = g - y
+        return r, float(r @ r), J
+
+    q, mu = np.array([mean, width]), 1e-3
+    r, cost, J = model(q)
+    for _ in range(200 if m.size >= 5 else 0):
+        JtJ = J.T @ J
+        damped = JtJ.copy()
+        damped[0, 0] += mu * JtJ[0, 0]
+        damped[1, 1] += mu * JtJ[1, 1]
+        step = np.linalg.solve(damped, -(J.T @ r))
+        r_new, cost_new, J_new = model(q + step)
+        if cost_new < cost:
+            q, r, cost, J, mu = q + step, r_new, cost_new, J_new, 0.1 * mu
+        else:
+            mu *= 10.0
+        if max(map(abs, step.tolist())) <= 1e-13 * max(map(abs, q.tolist())):
+            break
+    n0, dn = float(q[0]), abs(float(q[1]))
+    return LevelFit(n0=n0, delta_n=dn, residual=float(np.sqrt(np.mean(r ** 2))))
+
+
+@given(symmetry=st.sampled_from("SA"), a=st.floats(0.3, 100.0), M=st.floats(0.0, 5.0),
+       kz=st.floats(-3.0, 3.0), eB=st.floats(0.3, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_fit_matches_the_reference_loop(symmetry, a, M, kz, eB):
+    # J only where a step is taken, and a repeated rejected point skipped,
+    # must leave the trial sequence and every bit of the fit as they were;
+    # both routes run in this process, so this holds on any exp loop and BLAS
+    exp = expand(CatSpec(symmetry, a, PhysicalParams(M=M, kz=kz, eB=eB)))
+    got, want = gaussian_fit(exp), _gaussian_fit_reference(exp)
+    assert (got.n0.hex(), got.delta_n.hex(), got.residual.hex()) == \
+        (want.n0.hex(), want.delta_n.hex(), want.residual.hex())
+
+
+def _parity_weights_reference(symmetry, a, tail_eps):
+    """_parity_weights as it stood at commit 09c9d12: lgamma of numpy scalars m + 1.0."""
+    lam = 0.5 * a * a
+    m0 = 0 if symmetry == "S" else 1
+    if lam == 0.0:
+        return np.array([m0]), np.array([1.0])
+    hi = int(lam + 14.0 * math.sqrt(lam) + 40.0)
+    ms = np.arange(m0, hi + 1, 2)
+    logw = ms * math.log(lam) - np.array([math.lgamma(m + 1.0) for m in ms])
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    wl = w.tolist()
+    i, j, dropped = 0, len(wl) - 1, 0.0
+    while i < j and dropped + min(wl[i], wl[j]) < tail_eps:
+        if wl[i] <= wl[j]:
+            dropped, i = dropped + wl[i], i + 1
+        else:
+            dropped, j = dropped + wl[j], j - 1
+    ms, w = ms[i:j + 1], w[i:j + 1]
+    return ms, w / w.sum()
+
+
+@given(symmetry=st.sampled_from("SA"), a=st.floats(0.0, 100.0),
+       tail_eps=st.sampled_from([1e-12, 1e-6, 1e-300]))
+@settings(max_examples=150, deadline=None)
+def test_parity_weights_match_the_numpy_scalar_ladder(symmetry, a, tail_eps):
+    # lgamma of the Python float m + 1.0 is lgamma of the numpy scalar's
+    # value: m + 1.0 is exact below 2^53
+    got, want = _parity_weights(symmetry, a, tail_eps), _parity_weights_reference(symmetry, a, tail_eps)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

@@ -169,6 +169,21 @@ class TestFindPeaks:
         peaks = find_peaks(series, min_height=0.5, min_separation=3.0)
         assert [round(p[0]) for p in peaks] == [1, 6]
 
+    @pytest.mark.parametrize("argument, min_height, min_separation",
+                             [("min_height", math.nan, 1.0), ("min_separation", 0.5, math.nan)])
+    def test_nan_threshold_rejected(self, argument, min_height, min_separation):
+        # |cos t| at dt = 0.1 has 12 peaks; NaN compares False, so it answered
+        # none (min_height) or one (min_separation) without a word
+        series = TimeSeries(t0=0.0, dt=0.1, values=np.abs(np.cos(np.arange(0.0, 40.0, 0.1))))
+        assert len(find_peaks(series, min_height=0.5, min_separation=1.0)) == 12
+        with pytest.raises(ValueError, match=argument):
+            find_peaks(series, min_height=min_height, min_separation=min_separation)
+
+    def test_infinite_separation_keeps_the_highest(self):
+        values = np.array([0.0, 0.7, 0.0, 1.0, 0.0, 0.9, 0.0])
+        series = TimeSeries(t0=0.0, dt=1.0, values=values)
+        assert [round(t) for t, _ in find_peaks(series, 0.5, math.inf)] == [3]
+
     def test_empty_series_rejected(self):
         series = TimeSeries(t0=0.0, dt=1.0, values=np.array([]))
         with pytest.raises(ValueError):

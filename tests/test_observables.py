@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_revivals import evolution
 from dirac_revivals.catstate import CatSpec, expand, gaussian_fit
@@ -12,10 +14,11 @@ from dirac_revivals.cli import _EXPORTED_GENERATORS
 from dirac_revivals.evolution import (TimeSeries, _block_rows, autocorrelation_series,
                                       kz_for_ab_ratio, survival_amplitude, survival_series,
                                       time_scales)
-from dirac_revivals.landau import LABELS, PhysicalParams, _component_table, _params_arrays, energy
+from dirac_revivals.landau import (_POPULATED, LABELS, PhysicalParams, _component_table,
+                                   _params_arrays, energy)
 from dirac_revivals.numerics import find_peaks
-from dirac_revivals.observables import (_CORRELATION_GENERATORS, _MATRICES,
-                                        GeneratorId, _coefficients, _grid_values, _level_tables,
+from dirac_revivals.observables import (_CORRELATION_GENERATORS, _MATRICES, _SAME_ORDER,
+                                        GeneratorId, _coefficients, _grid_values,
                                         closed_form_series, concurrence_sq, correlation_series,
                                         expectation_series, expectation_values,
                                         mutual_information)
@@ -38,6 +41,45 @@ def fig7():
     kz = kz_for_ab_ratio(2.04, n0, 1.0)
     p = PhysicalParams(M=0.0, kz=kz, eB=1.0)
     return expand(CatSpec("S", 5.0, p)), time_scales(n0, p)
+
+
+def _level_tables(g: GeneratorId, u) -> np.ndarray:
+    """Per-level 3x3 matrix-element tables over the populated labels, shape (L, 3, 3).
+
+    `u` is _component_table(exp.levels, exp.spec.params)[:, _POPULATED].  The F_k
+    are orthonormal, so two components overlap by 1 on one Hermite order (the
+    constant _SAME_ORDER, by the table's layout rule) and 0 otherwise;
+    cross-level elements vanish by parity selection and are not carried.
+    """
+    return np.einsum("lai,ij,lbj->lab", u, _MATRICES[g] * _SAME_ORDER, u)
+
+
+def _coefficients_reference(exp, gens) -> list:
+    """_coefficients as it stood at commit 09c9d12: one complex einsum table per generator."""
+    table = _component_table(exp.levels, exp.spec.params)[:, _POPULATED]
+    out = []
+    for g in gens:
+        tbl = _level_tables(g, table)
+        a1, a2, a3 = exp.c_r1_plus, exp.c_r2_plus, exp.c_r2_minus
+        stat = (a1 * a1 * tbl[:, 0, 0].real + a2 * a2 * tbl[:, 1, 1].real
+                + a3 * a3 * tbl[:, 2, 2].real + 2.0 * a2 * a3 * tbl[:, 1, 2].real)
+        cosc = 2.0 * (a1 * a2 * tbl[:, 0, 1].real + a1 * a3 * tbl[:, 0, 2].real)
+        sinc = -2.0 * (a1 * a2 * tbl[:, 0, 1].imag + a1 * a3 * tbl[:, 0, 2].imag)
+        out.append((stat.sum(), cosc if cosc.any() else None, sinc if sinc.any() else None))
+    return out
+
+
+@given(symmetry=st.sampled_from("SA"), a=st.floats(0.3, 100.0), M=st.floats(0.0, 5.0),
+       kz=st.floats(-3.0, 3.0), eB=st.floats(0.3, 3.0))
+@settings(max_examples=150, deadline=None)
+def test_coefficients_match_the_einsum_reference(symmetry, a, M, kz, eB):
+    # one gather of +-u[a,i] u[b,j(i)] summed in increasing i must give the
+    # complex einsum's bits, signed zeros included, for every generator
+    exp = expand(CatSpec(symmetry, a, PhysicalParams(M=M, kz=kz, eB=eB)))
+    for gens in [ALL_GENERATORS] + [[g] for g in ALL_GENERATORS]:  # alone or stacked
+        got, want = _coefficients(exp, gens), _coefficients_reference(exp, gens)
+        assert [tuple(None if x is None else x.tobytes() for x in c) for c in got] == \
+            [tuple(None if x is None else x.tobytes() for x in c) for c in want]
 
 
 class TestGeneratorAlgebra:
